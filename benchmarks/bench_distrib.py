@@ -176,7 +176,7 @@ def run_seed(args, seed: int) -> Dict[str, object]:
     cluster = DistributedCluster(_spec(args, seed), fault_plan=plan)
     elapsed = _feed(cluster, keys, args.batch_size)
     output = cluster.output(args.theta)
-    truth = GroundTruth(cluster.nodes[0].session.hierarchy, keys.tolist())
+    truth = GroundTruth(cluster.hierarchy, keys.tolist())
     report = evaluate_output(output, truth, epsilon=args.epsilon, theta=args.theta)
 
     violations = 0

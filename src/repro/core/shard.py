@@ -1,66 +1,37 @@
-"""Sharded parallel batch execution: hash-partitioned shards, mergeable counters.
+"""Partition and merge: hash-routed replicas of a lattice algorithm, one answer.
 
-The per-node grouping inside :meth:`repro.core.rhhh.RHHH.update_batch` is
-embarrassingly parallel, and this module is the scale lever built on that
-fact: a :class:`ShardedHHH` hash-partitions every key batch across ``N``
-shard replicas of a lattice algorithm (RHHH, MST or SampledMST - anything
-built from an :class:`~repro.api.specs.AlgorithmSpec` that keeps one
-mergeable counter per lattice node), drives each replica's own vectorized
-``update_batch`` over its sub-stream, and reduces the per-node counter
-summaries with the :meth:`~repro.hh.base.FrequencyEstimator.merge` protocol
-at output time.  This is the local-update/central-merge loop of the
-federated-aggregation literature with per-shard counter summaries playing
-the role of the local models.
+Two engines run a stream as ``N`` replicas of one lattice algorithm (RHHH,
+MST or SampledMST - anything keeping one mergeable counter per lattice
+node) and answer queries from the merge of the replica summaries: the
+:class:`ShardedHHH` below, and the simulated switch fleet of
+:mod:`repro.distrib`.  Both are built from the two pieces of this module:
 
-Two execution modes share identical semantics:
+* :func:`partition_batch` routes every key to exactly one replica
+  (multiplicative hashing on the packed key, :func:`shard_of_key` being its
+  scalar twin), keeping stream order within each part;
+* :class:`LatticeMerger` reduces per-replica ``(total, counters)`` states
+  with the :meth:`~repro.hh.base.FrequencyEstimator.merge` protocol and runs
+  the algorithm's Output on the merged lattice, incrementally by default.
 
-* ``parallel=False`` runs the shard replicas in-process (deterministic,
-  dependency-free - the reference the lockstep tests compare against);
-* ``parallel=True`` gives each shard a dedicated worker process (spawn-safe:
-  workers rebuild their replica from the pickled spec + hierarchy, so no
-  live state crosses the fork boundary) and overlaps the per-shard batch
-  work across cores.
-
-Parallel workers run under a :class:`~repro.core.supervise.ShardSupervisor`:
-every wait is bounded by an IPC timeout with liveness checks, and the
-supervisor's :class:`~repro.core.supervise.SupervisorPolicy` decides what a
-worker death means - ``fail`` raises a typed
-:class:`~repro.exceptions.ShardFailure` naming the shard and exitcode,
-``restart`` respawns the shard from its last supervision checkpoint and
-replays the journaled delta (bit-identical to a failure-free run), and
-``degrade`` continues on the survivors, merging the lost shard's
-checkpointed contribution and widening the output's error bounds by exactly
-the unaccounted weight (reported via ``HHHOutput.failed_shards``).  The
-whole engine state also snapshots/restores through
-:meth:`ShardedHHH.snapshot_state`/:meth:`ShardedHHH.restore_state`, which is
-what ``Session`` checkpointing builds on.
-
-Each *key* is routed to exactly one shard (multiplicative hashing on the
-packed key), so at the fully-specified lattice node the shard summaries see
-disjoint key sets and the reduction uses ``merge(..., disjoint=True)``: the
-merged estimate over-counts a monitored key by at most its owning shard's
-error bound.  At generalized nodes disjointness does *not* hold - two
-packets of the same /24 aggregate can hash to different shards - so those
-nodes reduce with the generic merge, whose estimates stay within the
-*summed* per-shard error bounds (and the sketch merges are exactly the
-single-pass tables everywhere).  Merged output is *not* bit-identical to an
-unsharded run (the sampling draws differ and Space Saving truncates the
-merged summary to capacity), which is why the property and statistical
-suites in ``tests/core/test_shard.py`` and
-``tests/eval/test_accuracy_regression.py`` pin the error-bound and
-(epsilon, delta)-coverage guarantees instead.
+:class:`ShardedHHH` runs its replicas in-process (``parallel=False``, the
+deterministic reference) or one per worker process under a
+:class:`~repro.core.supervise.ShardSupervisor`, whose policy decides what a
+worker death means (``fail``, ``restart`` or ``degrade``).  Merged output is
+*not* bit-identical to an unsharded run (the sampling draws differ and Space
+Saving truncates the merged summary to capacity), which is why
+``tests/core/test_shard.py`` and ``tests/eval/test_accuracy_regression.py``
+pin the error-bound and (epsilon, delta)-coverage guarantees instead.
 
 Per-shard RNG streams are derived with ``numpy.random.SeedSequence.spawn``:
 for a fixed ``(seed, shards)`` pair every run draws the same per-shard
-seeds, while different shards get cryptographically independent streams (no
-two workers ever replay the same coin flips).
+seeds, while different shards get independent streams.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +52,9 @@ _GOLDEN_DST = 0xC2B2AE3D27D4EB4F
 #: Keep the top 31 bits of the mixed word: the low bits of ``x * odd`` are a
 #: permutation of ``x``'s low bits, the high bits are well mixed.
 _MIX_SHIFT = 33
+
+#: One replica's ``(total, per-node counters)``.
+ReplicaState = Tuple[int, List]
 
 
 def spawn_shard_seeds(seed: Optional[int], shards: int) -> List[int]:
@@ -169,6 +143,228 @@ def shard_assignments(keys: Sequence, shards: int) -> Optional[np.ndarray]:
     return ((mixed >> np.uint64(_MIX_SHIFT)) % np.uint64(shards)).astype(np.int64)
 
 
+def partition_batch(
+    keys: Sequence, weights: Optional[np.ndarray], parts: int
+) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
+    """Split a key batch into one ``(keys, weights)`` sub-batch per part.
+
+    Every packet lands in the part :func:`shard_of_key` names, in stream
+    order, and its weight travels with it.  ``weights`` is the int64 array
+    :func:`~repro.core.batch.coerce_weights` returns (``None`` for unit
+    weights, which stays ``None`` in every part).  Numeric batches are split
+    as arrays; anything else (object arrays, wide ints, non-integer keys)
+    goes through :meth:`~repro.core.base.HHHAlgorithm._iter_batch_keys` and
+    comes out as lists of plain keys.
+    """
+    if parts == 1:
+        return [(keys if isinstance(keys, np.ndarray) else list(keys), weights)]
+    assignments = shard_assignments(keys, parts)
+    if assignments is None:
+        key_list = list(HHHAlgorithm._iter_batch_keys(keys))
+        assignments = np.fromiter(
+            (shard_of_key(key, parts) for key in key_list), dtype=np.int64, count=len(key_list)
+        )
+        buckets: List[List] = [[] for _ in range(parts)]
+        for key, part in zip(key_list, assignments.tolist()):
+            buckets[part].append(key)
+        return [
+            (bucket, weights[assignments == part] if weights is not None else None)
+            for part, bucket in enumerate(buckets)
+        ]
+    keys_arr = coerce_key_array(keys, len(keys))
+    result: List[Tuple[Sequence, Optional[np.ndarray]]] = []
+    for part in range(parts):
+        picked = np.flatnonzero(assignments == part)
+        result.append((keys_arr[picked], weights[picked] if weights is not None else None))
+    return result
+
+
+# --------------------------------------------------------------------------- #
+# the lattice merger
+# --------------------------------------------------------------------------- #
+
+
+class LatticeMerger:
+    """Reduces replica counter lattices and answers ``output(theta)`` on the merge.
+
+    The merger owns a replica-shaped *template* (per-replica counter sizing,
+    so capacities line up with the replica summaries); :meth:`output` swaps
+    the merged lattice into it and runs its Output, which supplies the
+    algorithm-specific scaling and sampling correction (``V`` and the
+    ``2 Z sqrt(NV)`` term for RHHH) against the combined stream length.
+
+    Replica states are reduced in replica order: at each lattice node the
+    first replica's counter is the merge target and every later one is
+    merged into it (``merge`` never mutates its argument).  With keys
+    hash-partitioned, the fully-specified (level-0) node sees disjoint key
+    sets and merges with ``disjoint=True`` - the merged estimate over-counts
+    a key by at most its owning replica's error.  Generalized nodes
+    aggregate keys from many replicas and take the generic merge, whose
+    estimates stay within the *summed* per-replica error bounds.
+
+    Queries are incremental: each node's merged counter is cached under a
+    driver-supplied signature (an equal signature promises an unchanged
+    merge at that node), a rebuilt node bumps the version the template
+    carries into its incremental Output pass, and that pass keeps its own
+    :attr:`cache`.  Setting :attr:`cache` to ``None`` forces the
+    from-scratch reference (full re-merge, uncached Output) that the
+    streaming-parity suite compares against.
+
+    Args:
+        algorithm: the deployment's algorithm spec.
+        hierarchy: the shared hierarchical domain.
+        parts: number of replicas (drives the per-replica sizing).
+    """
+
+    def __init__(
+        self,
+        algorithm: AlgorithmSpec,
+        hierarchy: Hierarchy,
+        parts: int,
+    ) -> None:
+        from repro.api.registry import build_algorithm
+
+        self.template = build_algorithm(
+            per_shard_algorithm_spec(algorithm, algorithm.seed, parts), hierarchy
+        )
+        if not hasattr(self.template, "_counters"):
+            raise ConfigurationError(
+                f"algorithm {algorithm.name!r} keeps no per-node counter lattice; "
+                "merged execution supports the lattice algorithms (rhhh, mst, sampled_mst)"
+            )
+        probe = self.template._counters[0]
+        if type(probe).merge is FrequencyEstimator.merge:
+            raise ConfigurationError(
+                f"counter backend {type(probe).__name__} does not implement merge(); "
+                "pick a mergeable backend (space_saving, array_space_saving, "
+                "misra_gries, count_min, count_sketch)"
+            )
+        self._disjoint = [hierarchy.node_level(node) == 0 for node in range(hierarchy.size)]
+        self._nodes: List[Optional[Tuple[Hashable, object]]] = [None] * hierarchy.size
+        self._total: Optional[Tuple[tuple, int]] = None
+        self._versions: List[int] = [0] * hierarchy.size
+        self.cache: Optional[OutputCache] = OutputCache()
+
+    def reset(self) -> None:
+        """Forget every cached merge and Output pass (replica state was replaced)."""
+        self._nodes = [None] * len(self._nodes)
+        self._total = None
+        if self.cache is not None:
+            self.cache.invalidate()
+
+    def _merge_node(self, states: Sequence[ReplicaState], node: int, live: bool):
+        counter = states[0][1][node]
+        if live:
+            counter = copy.deepcopy(counter)
+        disjoint = self._disjoint[node]
+        for _, counters in states[1:]:
+            counter.merge(counters[node], disjoint=disjoint)
+        return counter
+
+    def merged_counters(
+        self, states: Callable[[bool], Sequence[ReplicaState]], *, live: bool
+    ) -> Tuple[List, int]:
+        """The from-scratch reduction: ``(per-node merged counters, summed total)``.
+
+        ``states(fresh)`` returns the replica states; this path passes
+        ``fresh=True``, asking the driver to rebuild anything it caches
+        (the aggregator's decodes) so the reference shares no state with
+        the incremental path.  ``live`` says the states are the replicas
+        themselves, so each merge target is deep-copied first (private
+        copies - unpickled or freshly decoded - are merged into directly).
+        """
+        fetched = states(True)
+        merged = [self._merge_node(fetched, node, live) for node in range(len(self._nodes))]
+        return merged, sum(total for total, _ in fetched)
+
+    def reduce(
+        self,
+        signatures: Sequence[Hashable],
+        states: Callable[[bool], Sequence[ReplicaState]],
+        *,
+        live: bool,
+    ) -> Tuple[List, int]:
+        """Incremental twin of :meth:`merged_counters`: re-merge stale nodes only.
+
+        Live replicas are cheap to read and their totals can move without
+        any counter changing, so they are read on every call; private states
+        are fetched only when some signature moved, and the signatures then
+        also pin the total.  Value-identical to :meth:`merged_counters`:
+        same merge order, same disjointness flags.
+        """
+        stale = [
+            node
+            for node, (signature, entry) in enumerate(zip(signatures, self._nodes))
+            if entry is None or entry[0] != signature
+        ]
+        key = tuple(signatures)
+        if not stale and not live and self._total is not None and self._total[0] == key:
+            return [entry[1] for entry in self._nodes], self._total[1]
+        fetched = states(False)
+        for node in stale:
+            self._nodes[node] = (signatures[node], self._merge_node(fetched, node, live))
+            self._versions[node] += 1
+        total = sum(replica_total for replica_total, _ in fetched)
+        self._total = (key, total)
+        return [entry[1] for entry in self._nodes], total
+
+    def output(
+        self,
+        theta: float,
+        signatures: Sequence[Hashable],
+        states: Callable[[bool], Sequence[ReplicaState]],
+        loss: Callable[[], Tuple[int, List[ShardLoss]]],
+        *,
+        live: bool,
+    ) -> HHHOutput:
+        """Merge the replicas and run the template's Output on the result.
+
+        ``loss`` is read after the states are fetched (a fetch can discover
+        a failure) and returns the weight no replica state accounts for with
+        its per-replica :class:`~repro.core.supervise.ShardLoss` reports.
+        That weight widens the bounds conservatively: ``N`` still counts it,
+        every conditioned estimate gains it (so no prefix that could have
+        reached the threshold is dropped), every candidate's upper bound is
+        stretched by it, and the reports ride along on ``failed_shards``.
+        Every hijacked template attribute - counters, total, correction,
+        version/cache pair - is restored afterwards, so the template never
+        holds merged state between queries.
+        """
+        if self.cache is not None:
+            merged, merged_total = self.reduce(signatures, states, live=live)
+        else:
+            merged, merged_total = self.merged_counters(states, live=live)
+        lost, losses = loss()
+        template = self.template
+        saved_counters = template._counters
+        saved_total = template._total
+        saved_versions = getattr(template, "_versions", None)
+        saved_cache = getattr(template, "_output_cache", None)
+        has_cache_attrs = saved_versions is not None
+        template._counters = merged
+        template._total = merged_total + lost
+        template.extra_correction = float(lost)
+        if has_cache_attrs:
+            template._versions = self._versions
+            template._output_cache = self.cache
+        try:
+            result = template.output(theta)
+        finally:
+            template.extra_correction = 0.0
+            template._counters = saved_counters
+            template._total = saved_total
+            if has_cache_attrs:
+                template._versions = saved_versions
+                template._output_cache = saved_cache
+        if lost:
+            result.candidates = [
+                dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
+                for candidate in result.candidates
+            ]
+        result.failed_shards = list(losses)
+        return result
+
+
 # --------------------------------------------------------------------------- #
 # the sharded engine
 # --------------------------------------------------------------------------- #
@@ -247,49 +443,13 @@ class ShardedHHH(HHHAlgorithm):
         self._shard_specs = [
             per_shard_algorithm_spec(spec, seed, shards) for seed in self._seeds
         ]
-        # The merged-output delegate: a replica-shaped instance (per-shard
-        # counter sizing, so capacities line up with the shard summaries)
-        # whose counters/total are replaced by the merged state at output
-        # time.  Building it up front also fail-fasts on unshardable specs.
-        self._template = build_algorithm(
-            per_shard_algorithm_spec(spec, spec.seed, shards), hierarchy_obj
-        )
-        if not hasattr(self._template, "_counters"):
-            raise ConfigurationError(
-                f"algorithm {spec.name!r} keeps no per-node counter lattice; "
-                "sharded execution supports the lattice algorithms (rhhh, mst, sampled_mst)"
-            )
-        probe = self._template._counters[0]
-        if type(probe).merge is FrequencyEstimator.merge:
-            raise ConfigurationError(
-                f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, array_space_saving, "
-                "misra_gries, count_min, count_sketch)"
-            )
-        # Hash partitioning is key-disjoint only where the counter keys ARE
-        # the routed keys: the fully-specified (level-0) lattice node.
-        # Generalized nodes aggregate keys from many shards and must take
-        # the generic summed-bound merge.
-        self._node_disjoint = [
-            hierarchy_obj.node_level(node) == 0 for node in range(hierarchy_obj.size)
-        ]
+        # Built up front, so unshardable specs fail fast.
+        self._merger = LatticeMerger(spec, hierarchy_obj, shards)
+        self._template = self._merger.template
         self._replicas: List[HHHAlgorithm] = []
         self._supervisor: Optional[ShardSupervisor] = None
         self._batch_index = 0
         self._closed = False
-        # Incremental-query plumbing.  Serial mode caches the merged counter
-        # of each lattice node keyed by the per-replica version stamps of
-        # that node; parallel mode (full states shipped per query) caches
-        # the whole merge keyed by the dispatch clock.  The template's
-        # version/cache pair is swapped in around the hijacked output call
-        # so the merged lattice gets its own incremental passes, disjoint
-        # from the template's native state.  Set ``_template_cache = None``
-        # to force every query through the from-scratch reference path.
-        hierarchy_size = hierarchy_obj.size
-        self._merged_node_cache: List[Optional[Tuple[tuple, object]]] = [None] * hierarchy_size
-        self._parallel_merge_cache: Optional[Tuple[tuple, List, int]] = None
-        self._template_versions: List[int] = [0] * hierarchy_size
-        self._template_cache: Optional[OutputCache] = OutputCache()
         if self._parallel:
             self._supervisor = ShardSupervisor(
                 self._shard_specs,
@@ -379,7 +539,7 @@ class ShardedHHH(HHHAlgorithm):
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
-        parts = self._partition(keys, weights_arr, n)
+        parts = partition_batch(keys, weights_arr, self._shards)
         if self._parallel:
             batch = self._batch_index
             self._supervisor.begin_batch(batch)
@@ -402,44 +562,6 @@ class ShardedHHH(HHHAlgorithm):
                     self._replicas[shard].update_batch(sub_keys, sub_weights)
             self._batch_index += 1
         self._total += total_weight
-
-    def _partition(
-        self, keys: Sequence, weights_arr: Optional[np.ndarray], n: int
-    ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
-        """Split a batch into per-shard ``(keys, weights)`` sub-batches."""
-        if self._shards == 1:
-            return [(keys if isinstance(keys, np.ndarray) else list(keys), weights_arr)]
-        assignments = shard_assignments(keys, self._shards)
-        if assignments is None:
-            key_list = list(self._iter_batch_keys(keys))
-            buckets: List[List] = [[] for _ in range(self._shards)]
-            weight_buckets: List[List[int]] = [[] for _ in range(self._shards)]
-            weight_list = weights_arr.tolist() if weights_arr is not None else None
-            for i, key in enumerate(key_list):
-                shard = shard_of_key(key, self._shards)
-                buckets[shard].append(key)
-                if weight_list is not None:
-                    weight_buckets[shard].append(weight_list[i])
-            return [
-                (
-                    bucket,
-                    np.asarray(weight_buckets[shard], dtype=np.int64)
-                    if weights_arr is not None
-                    else None,
-                )
-                for shard, bucket in enumerate(buckets)
-            ]
-        keys_arr = coerce_key_array(keys, n)
-        parts: List[Tuple[Sequence, Optional[np.ndarray]]] = []
-        for shard in range(self._shards):
-            picked = np.flatnonzero(assignments == shard)
-            parts.append(
-                (
-                    keys_arr[picked],
-                    weights_arr[picked] if weights_arr is not None else None,
-                )
-            )
-        return parts
 
     # ------------------------------------------------------------------ #
     # checkpoint/restore of the whole engine
@@ -495,175 +617,69 @@ class ShardedHHH(HHHAlgorithm):
                 apply_runtime_state(replica, shard_state)
         self._total = int(state["total"])
         self._batch_index = int(state["batch_index"])
-        # Replaced shard state invalidates every merge/query cache: restored
-        # version stamps could coincidentally match cached signatures from a
-        # different timeline.
-        self._merged_node_cache = [None] * len(self._merged_node_cache)
-        self._parallel_merge_cache = None
-        if self._template_cache is not None:
-            self._template_cache.invalidate()
+        # Restored version stamps could coincidentally match cached
+        # signatures from a different timeline.
+        self._merger.reset()
 
     # ------------------------------------------------------------------ #
     # the merge reduction and queries
     # ------------------------------------------------------------------ #
 
-    def _shard_states(self) -> List[Tuple[int, List]]:
-        """Collect ``(total, counters)`` from every shard.
+    def _shard_states(self, fresh: bool) -> List[ReplicaState]:
+        """``(total, counters)`` of every shard, in shard order.
 
-        Parallel snapshots arrive as fresh pickled copies via the
+        Parallel snapshots arrive as private unpickled copies via the
         supervisor, which substitutes the last supervision checkpoint for a
-        degraded shard; the serial path deep-copies shard 0 (the merge
-        target) and hands the rest over read-only - ``merge`` never mutates
-        its argument.
+        degraded shard; serial mode hands over the live replicas.  Neither
+        source is cached, so every call is already ``fresh``.
         """
         if self._parallel:
-            return self._supervisor.merge_states()
-        states = []
-        for shard, replica in enumerate(self._replicas):
-            counters = replica._counters
-            if shard == 0:
-                counters = copy.deepcopy(counters)
-            states.append((replica.total, counters))
-        return states
-
-    def merged_counters(self) -> Tuple[List, int]:
-        """Reduce the shard summaries into one per-node counter list.
-
-        Returns ``(counters, total)``: the merge of every shard's per-node
-        summaries (key-disjoint at the fully-specified node, generic
-        summed-bound elsewhere) and the summed shard totals.  Under the
-        degrade policy a lost shard contributes its last checkpointed
-        summary, so the returned total *excludes* the packets reported in
-        the supervisor's loss report.
-        """
-        states = self._shard_states()
+            states = self._supervisor.merge_states()
+        else:
+            states = [(replica.total, replica._counters) for replica in self._replicas]
         if not states:
             raise AlgorithmError(
                 "no shard state survives the failures: every shard was lost "
                 "before its first supervision checkpoint"
             )
-        merged = list(states[0][1])
-        total = states[0][0]
-        for shard_total, counters in states[1:]:
-            total += shard_total
-            for node, counter in enumerate(counters):
-                merged[node].merge(counter, disjoint=self._node_disjoint[node])
-        return merged, total
+        return states
 
-    def _bump_template_versions(self) -> None:
-        versions = self._template_versions
-        for node in range(len(versions)):
-            versions[node] += 1
+    def _signatures(self) -> List[Hashable]:
+        """Per-node merge signatures: replica version stamps, or the dispatch clock.
 
-    def _merged_counters_cached(self) -> Tuple[List, int]:
-        """Incremental twin of :meth:`merged_counters`.
-
-        Serial mode re-merges only the lattice nodes whose per-replica
-        version stamps moved since the last query, reusing the cached merged
-        summary everywhere else; a rebuilt node bumps its template version so
-        the incremental output pass re-enumerates exactly those nodes.
-        Parallel mode ships whole shard states per query, so the merge is
-        cached wholesale and keyed on the dispatch clock (plus the loss
-        account, which can move without a dispatch under the degrade
-        policy).  Either way the merged counters are value-identical to
-        :meth:`merged_counters` - same merge order, same disjointness flags.
+        Parallel mode ships whole states per query, so every node is keyed
+        on the dispatch clock plus the loss account (which can move without
+        a dispatch under the degrade policy).
         """
         if self._parallel:
-            lost = self._supervisor.lost_packets()
-            key = (self._batch_index, lost)
-            cached = self._parallel_merge_cache
-            if cached is not None and cached[0] == key:
-                return cached[1], cached[2]
-            merged, total = self.merged_counters()
-            self._parallel_merge_cache = (key, merged, total)
-            self._bump_template_versions()
-            return merged, total
-        replicas = self._replicas
-        if any(not hasattr(replica, "_versions") for replica in replicas):
-            # A replica without version stamps cannot signal staleness;
-            # fall back to a full merge with every node marked dirty.
-            merged, total = self.merged_counters()
-            self._bump_template_versions()
-            return merged, total
-        merged = []
-        for node in range(len(self._merged_node_cache)):
-            sig = tuple(replica._versions[node] for replica in replicas)
-            cached = self._merged_node_cache[node]
-            if cached is not None and cached[0] == sig:
-                merged.append(cached[1])
-                continue
-            counter = copy.deepcopy(replicas[0]._counters[node])
-            disjoint = self._node_disjoint[node]
-            for replica in replicas[1:]:
-                counter.merge(replica._counters[node], disjoint=disjoint)
-            self._merged_node_cache[node] = (sig, counter)
-            self._template_versions[node] += 1
-            merged.append(counter)
-        total = sum(replica.total for replica in replicas)
-        return merged, total
+            clock = (self._batch_index, self._supervisor.lost_packets())
+            return [clock] * self.hierarchy.size
+        return list(zip(*(replica._versions for replica in self._replicas)))
+
+    def _loss(self) -> Tuple[int, List[ShardLoss]]:
+        if self._supervisor is None:
+            return 0, []
+        return self._supervisor.lost_packets(), self._supervisor.losses()
+
+    def merged_counters(self) -> Tuple[List, int]:
+        """Reduce the shard summaries into ``(per-node counters, summed total)``.
+
+        Under the degrade policy a lost shard contributes its last
+        checkpointed summary, so the returned total *excludes* the packets
+        reported in the supervisor's loss report.
+        """
+        return self._merger.merged_counters(self._shard_states, live=not self._parallel)
 
     def output(self, theta: float) -> HHHOutput:
         """Merge the shards and run the underlying algorithm's Output on the result.
 
-        The delegate instance supplies the algorithm-specific scaling and
-        sampling correction (``V`` and the ``2 Z sqrt(NV)`` term for RHHH,
-        the plain lattice output for MST), computed against the *combined*
-        stream length.  Under the degrade policy the lost packets (weight
-        dispatched to dead shards that no surviving or checkpointed state
-        accounts for) widen the bounds conservatively: ``N`` still counts
-        them, every conditioned estimate gains the full lost weight (so no
-        prefix that could have reached the threshold is dropped) and every
-        candidate's upper bound is stretched by it; the per-shard
-        :class:`~repro.core.supervise.ShardLoss` reports ride along on
-        ``failed_shards``.
-
-        Queries run incrementally by default: the merged lattice carries the
-        wrapper-owned version stamps and output cache, so a repeat query
-        re-enumerates only the nodes whose merge was rebuilt.  Setting
-        ``_template_cache = None`` forces the from-scratch reference path
-        (full re-merge, uncached output pass) - the parity suite compares
-        the two.  Either way the hijacked template attributes (counters,
-        total, correction, version/cache pair) are all restored afterwards,
-        so interleaved direct use of the template never sees merged state.
+        Lost weight under the degrade policy widens the bounds as
+        :meth:`LatticeMerger.output` describes.  Queries run incrementally;
+        ``_merger.cache = None`` forces the from-scratch reference path.
         """
-        incremental = self._template_cache is not None
-        if incremental:
-            merged, merged_total = self._merged_counters_cached()
-        else:
-            merged, merged_total = self.merged_counters()
-        lost = self._supervisor.lost_packets() if self._supervisor is not None else 0
-        losses = self._supervisor.losses() if self._supervisor is not None else []
-        template = self._template
-        saved_counters = template._counters
-        saved_total = template._total
-        saved_versions = getattr(template, "_versions", None)
-        saved_cache = getattr(template, "_output_cache", None)
-        has_cache_attrs = saved_versions is not None
-        template._counters = merged
-        template._total = merged_total + lost
-        template.extra_correction = float(lost)
-        if has_cache_attrs:
-            if incremental:
-                template._versions = self._template_versions
-                template._output_cache = self._template_cache
-            else:
-                template._output_cache = None
-        try:
-            result = template.output(theta)
-        finally:
-            template.extra_correction = 0.0
-            template._counters = saved_counters
-            template._total = saved_total
-            if has_cache_attrs:
-                template._versions = saved_versions
-                template._output_cache = saved_cache
-        if lost:
-            result.candidates = [
-                dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
-                for candidate in result.candidates
-            ]
-        result.failed_shards = list(losses)
-        return result
+        return self._merger.output(
+            theta, self._signatures(), self._shard_states, self._loss, live=not self._parallel
+        )
 
     def counters(self) -> int:
         if self._parallel:

@@ -17,7 +17,7 @@ drives a 100-switch fleet the same way it drives one instance.
 
 from repro.distrib.aggregator import Aggregator
 from repro.distrib.cluster import DistributedCluster
-from repro.distrib.switch import SwitchNode, switch_experiment_spec
+from repro.distrib.switch import SwitchNode
 from repro.distrib.transport import LoopbackTransport, SimulatedTransport, Transport
 from repro.distrib.wire import (
     WIRE_VERSION,
@@ -37,5 +37,4 @@ __all__ = [
     "algorithm_geometry",
     "decode_message",
     "encode_message",
-    "switch_experiment_spec",
 ]

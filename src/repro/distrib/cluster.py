@@ -1,37 +1,30 @@
 """The distributed cluster engine: N switches, one aggregator, one answer.
 
 :class:`DistributedCluster` is an :class:`~repro.core.base.HHHAlgorithm`, so
-a :class:`~repro.api.session.Session` drives it exactly like any other
-engine.  Internally it simulates the whole deployment:
-
-* the stream is hash-partitioned across the switches with the sharded
-  engine's multiplicative key hash (a key lives on exactly one switch, so
-  fully-specified lattice nodes merge key-disjoint);
-* every ``epoch_batches`` ingested batches, each live switch emits its
-  compressed counter state through its transport; delivered messages are
-  ingested by the aggregator and acknowledged back (the ack promotes the
-  emitted state to the switch's delta base);
-* ``output(theta)`` flushes a final epoch and queries the aggregator with
-  the per-switch dispatched totals, so any weight the aggregator cannot
-  account for - dead switches (``kill`` fault events), dropped messages,
-  messages still in flight - widens the error bracket as quantified loss.
-
-Bandwidth is first-class: every transport counts messages and bytes, and
-:meth:`DistributedCluster.bandwidth_report` rolls them up against the
-spec's per-switch byte budget (the gate ``bench_distrib.py`` enforces).
+a :class:`~repro.api.session.Session` drives it like any other engine.  It
+routes batches with the sharded engine's
+:func:`~repro.core.shard.partition_batch` to its
+:class:`~repro.distrib.switch.SwitchNode` replicas; every ``epoch_batches``
+ingested batches each live switch ships its compressed state through its
+transport, and delivered messages are ingested by the
+:class:`~repro.distrib.aggregator.Aggregator` and acknowledged back (the
+ack promotes the emitted state to the switch's delta base).
+``output(theta)`` flushes a final epoch and queries the aggregator with the
+per-switch dispatched totals, so weight the aggregator cannot account for
+widens the error bracket as quantified loss.  Every transport counts
+messages and bytes; :meth:`DistributedCluster.bandwidth_report` rolls them
+up against the spec's per-switch byte budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.api.specs import ExperimentSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
-from repro.core.batch import coerce_key_array, coerce_weights
+from repro.core.batch import coerce_weights
 from repro.core.faults import FaultPlan
-from repro.core.shard import shard_assignments, shard_of_key, spawn_shard_seeds
+from repro.core.shard import partition_batch, shard_of_key, spawn_shard_seeds
 from repro.distrib.aggregator import Aggregator
 from repro.distrib.switch import SwitchNode
 from repro.distrib.transport import LoopbackTransport, SimulatedTransport, Transport
@@ -73,11 +66,15 @@ class DistributedCluster(HHHAlgorithm):
         self._distrib = distrib
         self._fault_plan = fault_plan
         self._switches = distrib.switches
+        # Built first, so unmergeable specs fail fast with a configuration error.
+        self._aggregator = Aggregator(
+            spec.algorithm, hierarchy_obj, distrib.switches, top_k=distrib.top_k
+        )
         seeds = spawn_shard_seeds(spec.algorithm.seed, distrib.switches)
         self._nodes: List[SwitchNode] = [
             SwitchNode(
                 switch,
-                spec,
+                spec.algorithm,
                 seeds[switch],
                 distrib.switches,
                 hierarchy=hierarchy_obj,
@@ -92,13 +89,6 @@ class DistributedCluster(HHHAlgorithm):
             else SimulatedTransport(switch=switch, plan=fault_plan)
             for switch in range(distrib.switches)
         ]
-        self._aggregator = Aggregator(
-            spec.algorithm,
-            hierarchy_obj,
-            distrib.switches,
-            top_k=distrib.top_k,
-            partitioned_keys=True,
-        )
         self._alive = [True] * distrib.switches
         self._dispatched = [0] * distrib.switches
         self._batch_index = 0
@@ -153,7 +143,7 @@ class DistributedCluster(HHHAlgorithm):
         self._fire_kills()
         weights_arr, total_weight = coerce_weights(weights, n)
         for switch, (sub_keys, sub_weights) in enumerate(
-            self._partition(keys, weights_arr, n)
+            partition_batch(keys, weights_arr, self._switches)
         ):
             if len(sub_keys) == 0:
                 continue
@@ -163,43 +153,6 @@ class DistributedCluster(HHHAlgorithm):
                 self._nodes[switch].observe(sub_keys, sub_weights)
         self._total += total_weight
         self._advance_epoch_clock()
-
-    def _partition(
-        self, keys: Sequence, weights_arr: Optional[np.ndarray], n: int
-    ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
-        """Split a batch into per-switch sub-batches (the sharded engine's rule)."""
-        if self._switches == 1:
-            return [(keys if isinstance(keys, np.ndarray) else list(keys), weights_arr)]
-        assignments = shard_assignments(keys, self._switches)
-        if assignments is None:
-            buckets: List[List] = [[] for _ in range(self._switches)]
-            weight_buckets: List[List[int]] = [[] for _ in range(self._switches)]
-            weight_list = weights_arr.tolist() if weights_arr is not None else None
-            for i, key in enumerate(keys):
-                switch = shard_of_key(key, self._switches)
-                buckets[switch].append(key)
-                if weight_list is not None:
-                    weight_buckets[switch].append(weight_list[i])
-            return [
-                (
-                    bucket,
-                    np.asarray(weight_buckets[switch], dtype=np.int64)
-                    if weights_arr is not None
-                    else None,
-                )
-                for switch, bucket in enumerate(buckets)
-            ]
-        keys_arr = coerce_key_array(keys, n)
-        parts: List[Tuple[Sequence, Optional[np.ndarray]]] = []
-        for switch in range(self._switches):
-            picked = np.flatnonzero(assignments == switch)
-            parts.append(
-                (
-                    keys_arr[picked],
-                    weights_arr[picked] if weights_arr is not None else None,
-                )
-            )
-        return parts
 
     # ------------------------------------------------------------------ #
     # the epoch protocol
@@ -327,11 +280,6 @@ class DistributedCluster(HHHAlgorithm):
     def dead_switches(self) -> List[int]:
         """Switches lost to ``kill`` fault events."""
         return [switch for switch, alive in enumerate(self._alive) if not alive]
-
-    def close(self) -> None:
-        """Release the switch sessions (no worker processes to reap)."""
-        for node in self._nodes:
-            node.session.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

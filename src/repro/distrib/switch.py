@@ -1,57 +1,29 @@
 """The per-switch half of the distributed tier: local state, periodic emission.
 
-A :class:`SwitchNode` is one simulated vswitch: it wraps a
-:class:`~repro.api.session.Session` running a proportionally-sized replica of
-the experiment's algorithm (same per-replica sizing rule as the sharded
-engine, so an ``N``-switch deployment stays inside the single-deployment
-memory envelope), observes the sub-stream of keys routed to it, and once per
-epoch emits its counter state as a framed wire message - compressed by the
-policy in force (top-k truncation, delta encoding against the last epoch the
-aggregator acknowledged).
+A :class:`SwitchNode` is one simulated vswitch: a replica of the
+deployment's algorithm built exactly like a serial shard of
+:class:`~repro.core.shard.ShardedHHH` (spawned seed, divided memory budget),
+fed the sub-stream of keys routed to it, which once per epoch emits its
+counter state as a framed wire message - compressed by the policy in force
+(top-k truncation, delta encoding against the last epoch the aggregator
+acknowledged).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.api.session import Session
-from repro.api.specs import ExperimentSpec
+from repro.api.specs import AlgorithmSpec
 from repro.core.shard import per_shard_algorithm_spec
 from repro.distrib import compress, wire
-from repro.exceptions import ConfigurationError
-
-
-def switch_experiment_spec(
-    spec: ExperimentSpec, seed: Optional[int], switches: int
-) -> ExperimentSpec:
-    """The spec one switch's local session is built from.
-
-    The switch runs a plain single-instance replica: its algorithm gets the
-    spawned per-switch seed and the divided memory budget (the sharded
-    engine's sizing rule), and every orchestration concern of the original
-    spec - sharding, the distrib tier itself, checkpointing, trace ingest -
-    is stripped, because the cluster feeds the switch its key sub-stream
-    directly.
-    """
-    return dataclasses.replace(
-        spec,
-        algorithm=per_shard_algorithm_spec(spec.algorithm, seed, switches),
-        shards=None,
-        distrib=None,
-        checkpoint_every=None,
-        checkpoint_path=None,
-        trace=None,
-        ingest=None,
-    )
 
 
 class SwitchNode:
-    """One simulated vswitch: a local Session plus the emission protocol.
+    """One simulated vswitch: a local replica plus the emission protocol.
 
     Args:
         switch_id: this switch's id in the cluster (the wire ``switch`` field).
-        spec: the cluster-level experiment spec.
+        algorithm: the cluster-level algorithm spec.
         seed: this switch's spawned RNG seed.
         switches: cluster size (drives the per-replica memory division).
         hierarchy: the shared hierarchical domain instance.
@@ -62,7 +34,7 @@ class SwitchNode:
     def __init__(
         self,
         switch_id: int,
-        spec: ExperimentSpec,
+        algorithm: AlgorithmSpec,
         seed: Optional[int],
         switches: int,
         *,
@@ -70,17 +42,15 @@ class SwitchNode:
         top_k: Optional[int] = None,
         delta: bool = True,
     ) -> None:
+        from repro.api.registry import build_algorithm
+
         self._id = int(switch_id)
         self._top_k = top_k
         self._delta = bool(delta)
-        self._session = Session(switch_experiment_spec(spec, seed, switches), hierarchy=hierarchy)
-        algorithm = self._session.algorithm
-        if not hasattr(algorithm, "_counters"):
-            raise ConfigurationError(
-                f"algorithm {spec.algorithm.name!r} keeps no per-node counter lattice; "
-                "the distributed tier ships lattice algorithms (rhhh, mst, sampled_mst)"
-            )
-        self._geometry = wire.algorithm_geometry(algorithm, hierarchy, top_k=top_k)
+        self._algorithm = build_algorithm(
+            per_shard_algorithm_spec(algorithm, seed, switches), hierarchy
+        )
+        self._geometry = wire.algorithm_geometry(self._algorithm, hierarchy, top_k=top_k)
         #: compressed node states of epochs emitted but not yet acked.
         self._pending: Dict[int, List[Dict[str, Any]]] = {}
         #: the last state the aggregator confirmed holding - the delta base.
@@ -98,18 +68,14 @@ class SwitchNode:
         return self._id
 
     @property
-    def session(self) -> Session:
-        """The switch's local measurement session."""
-        return self._session
-
-    @property
     def algorithm(self):
-        return self._session.algorithm
+        """The switch's local algorithm replica."""
+        return self._algorithm
 
     @property
     def total(self) -> int:
         """Packets this switch has observed locally."""
-        return self._session.algorithm.total
+        return self._algorithm.total
 
     @property
     def geometry(self) -> Dict[str, Any]:
@@ -118,11 +84,11 @@ class SwitchNode:
 
     def observe(self, keys: Sequence, weights=None) -> None:
         """Feed a batch of this switch's sub-stream into the local algorithm."""
-        self._session.algorithm.update_batch(keys, weights)
+        self._algorithm.update_batch(keys, weights)
 
     def observe_one(self, key, weight: int = 1) -> None:
         """Feed one packet (the per-packet route)."""
-        self._session.algorithm.update(key, weight)
+        self._algorithm.update(key, weight)
 
     # ------------------------------------------------------------------ #
     # emission protocol
@@ -137,7 +103,7 @@ class SwitchNode:
         confirmed holding, never against an emission that may have been
         lost in flight.
         """
-        algorithm = self._session.algorithm
+        algorithm = self._algorithm
         states = [wire.encode_counter_state(counter) for counter in algorithm._counters]
         compressed = [compress.truncate_counter_state(state, self._top_k) for state in states]
         self._pending[int(epoch)] = compressed

@@ -28,9 +28,11 @@ import numpy as np
 from repro.api.specs import AlgorithmSpec, CounterSpec, ExperimentSpec
 from repro.api.registry import build_algorithm, make_hierarchy
 from repro.api.session import Session
+from repro.core.base import HHHAlgorithm
 from repro.core.rhhh import RHHH
 from repro.core.shard import (
     ShardedHHH,
+    partition_batch,
     per_shard_algorithm_spec,
     shard_assignments,
     shard_of_key,
@@ -129,6 +131,41 @@ class TestHashPartition:
     def test_non_numeric_keys_fall_back_to_python_hash(self):
         assert shard_assignments(["a", "b"], 2) is None
         assert 0 <= shard_of_key("some-key", 3) < 3
+
+    @staticmethod
+    def _partition_batches():
+        pairs = named_workload("chicago16", num_flows=200).key_array(600)
+        weights = np.arange(1, 601, dtype=np.int64)
+        wide = np.array([(1 << 70, 5), (3, 4), (1 << 65, 1 << 66), (9, 9)] * 25, dtype=object)
+        return {
+            "1d": (np.ascontiguousarray(pairs[:, 0]), None),
+            "pairs": (pairs, None),
+            "tuple-list": ([(int(s), int(d)) for s, d in pairs.tolist()], None),
+            "object": (wide, None),
+            "weighted-1d": (np.ascontiguousarray(pairs[:, 0]), weights),
+            "weighted-object": (wide, weights[: len(wide)]),
+        }
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    @pytest.mark.parametrize(
+        "batch", ["1d", "pairs", "tuple-list", "object", "weighted-1d", "weighted-object"]
+    )
+    def test_partition_batch_routes_every_packet_to_its_owner(self, batch, parts):
+        keys, weights = self._partition_batches()[batch]
+        plain = list(HHHAlgorithm._iter_batch_keys(keys))
+        owners = [shard_of_key(key, parts) for key in plain]
+        split = partition_batch(keys, weights, parts)
+        assert len(split) == parts
+        # Every packet lands in exactly one part, in stream order.
+        assert sum(len(sub_keys) for sub_keys, _ in split) == len(plain)
+        for part, (sub_keys, sub_weights) in enumerate(split):
+            picked = [i for i, owner in enumerate(owners) if owner == part]
+            assert list(HHHAlgorithm._iter_batch_keys(sub_keys)) == [plain[i] for i in picked]
+            if weights is None:
+                assert sub_weights is None
+            else:
+                # Weights follow their keys.
+                assert sub_weights.tolist() == [int(weights[i]) for i in picked]
 
 
 class TestSerialEngineLockstep:

@@ -6,8 +6,8 @@ bounds, same conditioned estimates - over interleaved update/query streams.
 Every engine exposes a scratch toggle for exactly this comparison:
 
 * core lattice algorithms: ``algorithm._output_cache = None``;
-* the sharded engine: ``engine._template_cache = None``;
-* the distributed aggregator: ``aggregator._query_cache = None``.
+* the sharded engine and the distributed aggregator share one merger:
+  ``engine._merger.cache = None`` and ``aggregator._merger.cache = None``.
 
 The suite drives each engine over seeded Zipf-like and DDoS streams with a
 query after every chunk, pins repeated-query idempotence (including the
@@ -105,7 +105,7 @@ class TestIncrementalParity:
         spec = AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=3)
         incremental = ShardedHHH(spec, "1d-bytes", shards=3, parallel=False)
         scratch = ShardedHHH(spec, "1d-bytes", shards=3, parallel=False)
-        scratch._template_cache = None
+        scratch._merger.cache = None
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
             incremental.update_batch(chunk)
@@ -126,7 +126,7 @@ class TestIncrementalParity:
         )
         incremental = DistributedCluster(spec)
         scratch = DistributedCluster(spec)
-        scratch.aggregator._query_cache = None
+        scratch.aggregator._merger.cache = None
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
             incremental.update_batch(chunk)
@@ -190,7 +190,7 @@ class TestRepeatedQueryIdempotence:
         # The hijacked template holds none of the merged state afterwards.
         assert template._total == 0
         assert template.extra_correction == 0.0
-        assert template._output_cache is not engine._template_cache
+        assert template._output_cache is not engine._merger.cache
 
     def test_cluster_output_flushes_the_epoch_then_stays_pinned(self):
         keys = _zipf_keys()[:, 0].copy()

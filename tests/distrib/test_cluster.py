@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api.registry import make_hierarchy
@@ -92,6 +93,21 @@ class TestLockstep:
             cluster.update((int(src), int(dst)))
             reference.update((int(src), int(dst)))
         assert cluster.output(THETA).candidates == reference.output(THETA).candidates
+
+
+    def test_object_dtype_pair_batch_routes_like_the_serial_engine(self):
+        # Regression: the cluster used to iterate raw ndarray rows and hash
+        # them (TypeError: unhashable type); both engines share one router.
+        keys = np.array([(1 << 70, 5), (3, 4)] * 8, dtype=object)
+        spec = _spec()
+        cluster = DistributedCluster(spec)
+        reference = ShardedHHH(spec.algorithm, "2d-bytes", SWITCHES, parallel=False)
+        cluster.update_batch(keys)
+        reference.update_batch(keys)
+        assert cluster.total == reference.total == len(keys)
+        candidates = cluster.output(THETA).candidates
+        assert len(candidates) > 0
+        assert candidates == reference.output(THETA).candidates
 
 
 class TestSoundnessUnderFaults:
