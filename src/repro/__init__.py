@@ -82,7 +82,7 @@ from repro.hh import (
     MisraGries,
     SpaceSaving,
 )
-from repro.hhh import ExactHHH, FullAncestry, MST, PartialAncestry, SampledMST, make_algorithm
+from repro.hhh import ExactHHH, FullAncestry, MST, PartialAncestry, SampledMST
 from repro.hierarchy import (
     OneDimHierarchy,
     Prefix,
@@ -132,7 +132,6 @@ __all__ = [
     "FullAncestry",
     "PartialAncestry",
     "ExactHHH",
-    "make_algorithm",
     # hierarchies
     "Prefix",
     "OneDimHierarchy",

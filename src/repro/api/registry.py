@@ -1,8 +1,6 @@
 """Decorator-based plugin registries for algorithms, counters and hierarchies.
 
-These replace the positional-tuple factory dicts that used to live in
-``repro.hhh.registry`` and ``repro.hh.factory``: a registered factory takes
-arbitrary *typed* keyword arguments (``v``, ``updates_per_packet``,
+A registered factory takes arbitrary *typed* keyword arguments (``v``, ``updates_per_packet``,
 ``counter=CounterSpec(...)``, sketch ``width``/``depth``, ``seed``, ...)
 instead of being locked to a fixed positional signature, and third parties
 extend the line-up with a decorator::
@@ -19,9 +17,7 @@ extend the line-up with a decorator::
 
 Construction goes through :func:`build_algorithm` / :func:`build_counter`,
 which accept either a spec (:class:`~repro.api.specs.AlgorithmSpec` /
-:class:`~repro.api.specs.CounterSpec`) or a plain name.  The legacy
-``repro.hhh.registry.ALGORITHM_REGISTRY`` and ``repro.hh.factory.make_counter``
-surfaces remain as deprecation shims over this module.
+:class:`~repro.api.specs.CounterSpec`) or a plain name.
 """
 
 from __future__ import annotations

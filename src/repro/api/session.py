@@ -5,12 +5,18 @@ algorithm, traffic source, feed strategy - behind one uniform interface.  It
 subsumes the bespoke driver loops that used to live in ``eval/runner.py``,
 ``eval/speed.py``, ``eval/figures.py`` and the CLI:
 
-* **per-packet and batch paths**: ``batch_size=None`` on the spec drives the
-  algorithm through per-packet ``update`` calls; a batch size feeds
-  ``update_batch`` in exactly the chunks the manual loop would
-  (``keys[i : i + batch_size]``), so a Session batch run is bit-identical to
-  the legacy hand-written loop;
-* **progress hooks**: called after every fed chunk with the processed count;
+* **one feed loop**: every feed path - :meth:`Session.run`,
+  :meth:`Session.watch`, :meth:`Session.feed`, :meth:`Session.feed_batches`,
+  :meth:`Session.feed_trace` and the batch branch of
+  :meth:`Session.measure_speed` - drains the same generator over a *source*
+  of key batches.  The key source slices ``keys[i : i + batch_size]`` (or
+  ``progress_chunk`` on the per-packet path), so a Session batch run is
+  bit-identical to the hand-written loop; the trace source re-chunks a
+  streamed trace, skips a resumed prefix and optionally overlaps the reader
+  through a ring buffer.  Each batch goes through ``update_batch`` on batch
+  specs (``batch_size`` set) or per-packet ``update`` calls otherwise;
+* **progress hooks**: called after every fed batch with the absolute stream
+  position (a resumed prefix included) and the stream total;
 * **measurement hooks**: called at caller-chosen stream positions
   (checkpoints), which is how the quality experiments evaluate one stream at
   several lengths in a single pass;
@@ -39,7 +45,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +65,8 @@ from repro.hierarchy.base import Hierarchy
 from repro.traffic.caida_like import named_workload
 from repro.traffic.trace_io import trace_key_array, trace_key_batches, trace_packet_count
 
-#: Progress hook: ``hook(session, processed, total)`` after every fed chunk.
+#: Progress hook: ``hook(session, processed, total)`` after every fed chunk;
+#: ``processed`` is the absolute stream position (a resumed prefix included).
 ProgressHook = Callable[["Session", int, int], None]
 
 #: Measurement hook: ``hook(session, processed) -> record`` at each checkpoint;
@@ -312,8 +319,101 @@ class Session:
         return arr.tolist()
 
     # ------------------------------------------------------------------ #
-    # the feed loop
+    # the feed loop: sources of key batches, drained through _feed_loop
     # ------------------------------------------------------------------ #
+
+    def _feed_loop(self, batches: Iterable[Keys], total: Optional[int]) -> Iterator[int]:
+        """The one feed loop: apply every batch, advance, report; yields batch sizes.
+
+        Every feed path drains this generator.  Each non-empty batch goes
+        through ``update_batch`` on batch specs, or one ``update`` call per
+        key on per-packet specs; then the absolute stream position advances,
+        the progress hooks fire with it (capped at ``total``, which defaults
+        to the position itself) and a periodic checkpoint is written when
+        its mark is crossed.  The batch's packet count is yielded last.
+        """
+        per_packet = self._spec.batch_size is None
+        algorithm = self._algorithm
+        for batch in batches:
+            n = len(batch)
+            if n == 0:
+                continue
+            if per_packet:
+                update = algorithm.update
+                for key in HHHAlgorithm._iter_batch_keys(batch):
+                    update(key)
+            else:
+                algorithm.update_batch(batch)
+            self._stream_position += n
+            self._fire_progress(total)
+            self._maybe_checkpoint()
+            yield n
+
+    def _fire_progress(self, total: Optional[int]) -> None:
+        position = self._stream_position
+        if total is None:
+            total = position
+        for hook in self._progress_hooks:
+            hook(self, min(position, total), total)
+
+    def _key_source(self, keys: Keys, start: int, cuts: Iterable[int]) -> Iterator[Keys]:
+        """Slices of ``keys`` from ``start``: ``batch_size`` (or ``progress_chunk``
+        on the per-packet path) at a time, restarting at every cut."""
+        step = self._spec.batch_size or self._progress_chunk
+        for cut in cuts:
+            for chunk_start in range(start, cut, step):
+                yield keys[chunk_start : min(chunk_start + step, cut)]
+            start = cut
+
+    def _trace_source(
+        self,
+        path: Optional[str] = None,
+        *,
+        ingest: Optional[int] = None,
+        skip: Optional[int] = None,
+    ) -> Tuple[Iterator[Keys], int]:
+        """The spec's trace as ``(batches, total)``: re-chunked, resume-skipped, ring-buffered."""
+        if path is None:
+            path = self._spec.trace
+        if path is None:
+            raise ConfigurationError("feed_trace needs a path (argument or spec.trace)")
+        if self._spec.batch_size is None:
+            raise ConfigurationError(
+                "feed_trace streams through update_batch; set batch_size on the "
+                "spec (per-packet trace runs use run()/feed(), which "
+                "materialise the keys)"
+            )
+        if skip is None:
+            skip = self._resume_position
+        depth = ingest if ingest is not None else self._spec.ingest
+        total = min(trace_packet_count(path), self._spec.packets)
+        batches = rechunk_batches(
+            trace_key_batches(
+                path,
+                dimensions=self._hierarchy.dimensions,
+                limit=self._spec.packets,
+                fault_plan=self._fault_plan,
+            ),
+            self._spec.batch_size,
+        )
+        if skip:
+            batches = _skip_batches(batches, skip)
+        if depth is not None:
+            batches = _ring_buffered(batches, depth, self._fault_plan)
+        return batches, total
+
+    def _spec_source(self) -> Tuple[Iterator[Keys], int]:
+        """The spec's stream past any resume prefix, as ``(batches, total)``.
+
+        Batch-mode trace specs without explicit keys stream the trace (zero
+        per-packet Python objects, optional ring-buffer overlap); every
+        other spec slices its materialised :meth:`keys`.
+        """
+        if self._keys is None and self._spec.trace is not None and self._spec.batch_size is not None:
+            return self._trace_source()
+        keys = self.keys()
+        total = len(keys)
+        return self._key_source(keys, min(self._resume_position, total), [total]), total
 
     def feed(
         self,
@@ -354,69 +454,22 @@ class Session:
         marks_set = set(marks)
         cuts = marks + ([total] if not marks or marks[-1] != total else [])
         position = start
-        for cut in cuts:
-            self._feed_segment(keys, position, cut, total)
-            position = cut
-            if cut in marks_set:
+        for fed in self._feed_loop(self._key_source(keys, start, cuts), total):
+            position += fed
+            if position in marks_set:
                 for hook in self._measurement_hooks:
                     record = hook(self, position)
                     if record is not None:
                         measurements.append(record)
         return measurements
 
-    def _feed_segment(self, keys: Keys, start: int, stop: int, total: int) -> None:
-        """Feed ``keys[start:stop]`` by draining :meth:`_segment_chunks`."""
-        for _ in self._segment_chunks(keys, start, stop, total):
-            pass
-
-    def _segment_chunks(self, keys: Keys, start: int, stop: int, total: int) -> Iterator[int]:
-        """Feed ``keys[start:stop]`` chunk by chunk, yielding after each chunk.
-
-        Yields the absolute stream position after every fed chunk - the
-        cadence :meth:`watch` counts in.  Both paths honor the documented
-        progress contract - hooks fire after every fed chunk: at
-        ``batch_size`` granularity on the batch path, and at
-        ``progress_chunk`` granularity on the per-packet path (which used
-        to fire only once per segment, starving progress consumers on long
-        per-packet runs).
-        """
-        batch_size = self._spec.batch_size
-        if batch_size is None:
-            update = self._algorithm.update
-            step = self._progress_chunk
-            for chunk_start in range(start, stop, step):
-                chunk_stop = min(chunk_start + step, stop)
-                for key in HHHAlgorithm._iter_batch_keys(keys[chunk_start:chunk_stop]):
-                    update(key)
-                self._stream_position = chunk_stop
-                self._fire_progress(chunk_stop, total)
-                self._maybe_checkpoint()
-                yield chunk_stop
-            return
-        update_batch = self._algorithm.update_batch
-        for chunk_start in range(start, stop, batch_size):
-            chunk_stop = min(chunk_start + batch_size, stop)
-            update_batch(keys[chunk_start:chunk_stop])
-            self._stream_position = chunk_stop
-            self._fire_progress(chunk_stop, total)
-            self._maybe_checkpoint()
-            yield chunk_stop
-
-    def _fire_progress(self, processed: int, total: int) -> None:
-        for hook in self._progress_hooks:
-            hook(self, min(processed, total), total)
-
-    # ------------------------------------------------------------------ #
-    # trace streaming
-    # ------------------------------------------------------------------ #
-
     def feed_batches(self, batches: Iterable[Keys], *, total: Optional[int] = None) -> int:
-        """Drive an iterable of key-array batches through ``update_batch`` inline.
+        """Drive an iterable of key-array batches through the feed loop inline.
 
         This is the inline reference the ingest parity gate compares the
         ring-buffered feed against: batches are applied strictly in iteration
-        order, one ``update_batch`` call each, progress hooks firing after
-        every batch.  Returns the number of packets fed.
+        order, one ``update_batch`` call each on batch specs, progress hooks
+        firing after every batch.  Returns the number of packets fed.
 
         Args:
             batches: iterable of key arrays (``(n, 2)`` for two-dimensional
@@ -424,28 +477,10 @@ class Session:
                 :class:`~repro.core.ingest.RingBufferIngest` is itself such
                 an iterable.
             total: stream length reported to progress hooks; defaults to the
-                running fed count (useful when the iterable's length is
-                unknown).
+                running stream position (useful when the iterable's length
+                is unknown).
         """
-        fed = 0
-        for fed in self._batch_chunks(batches, total=total):
-            pass
-        return fed
-
-    def _batch_chunks(self, batches: Iterable[Keys], *, total: Optional[int] = None) -> Iterator[int]:
-        """The chunk generator under :meth:`feed_batches`: yields the running fed count."""
-        fed = 0
-        update_batch = self._algorithm.update_batch
-        for batch in batches:
-            n = len(batch)
-            if n == 0:
-                continue
-            update_batch(batch)
-            fed += n
-            self._stream_position += n
-            self._fire_progress(fed, total if total is not None else fed)
-            self._maybe_checkpoint()
-            yield fed
+        return sum(self._feed_loop(batches, total))
 
     def feed_trace(
         self,
@@ -480,49 +515,7 @@ class Session:
                 has no ``batch_size`` (per-packet trace runs go through
                 :meth:`run`/:meth:`feed`, which materialise Python keys).
         """
-        fed = 0
-        for fed in self._trace_chunks(path, ingest=ingest, skip=skip):
-            pass
-        return fed
-
-    def _trace_chunks(
-        self,
-        path: Optional[str] = None,
-        *,
-        ingest: Optional[int] = None,
-        skip: Optional[int] = None,
-    ) -> Iterator[int]:
-        """The chunk generator under :meth:`feed_trace`: yields the running fed count."""
-        if path is None:
-            path = self._spec.trace
-        if path is None:
-            raise ConfigurationError("feed_trace needs a path (argument or spec.trace)")
-        if self._spec.batch_size is None:
-            raise ConfigurationError(
-                "feed_trace streams through update_batch; set batch_size on the "
-                "spec (per-packet trace runs use run()/feed(), which "
-                "materialise the keys)"
-            )
-        if skip is None:
-            skip = self._resume_position
-        depth = ingest if ingest is not None else self._spec.ingest
-        total = min(trace_packet_count(path), self._spec.packets)
-        batches = rechunk_batches(
-            trace_key_batches(
-                path,
-                dimensions=self._hierarchy.dimensions,
-                limit=self._spec.packets,
-                fault_plan=self._fault_plan,
-            ),
-            self._spec.batch_size,
-        )
-        if skip:
-            batches = _skip_batches(batches, skip)
-        if depth is None:
-            yield from self._batch_chunks(batches, total=total)
-            return
-        with RingBufferIngest(batches, depth=depth, fault_plan=self._fault_plan) as ring:
-            yield from self._batch_chunks(ring, total=total)
+        return sum(self._feed_loop(*self._trace_source(path, ingest=ingest, skip=skip)))
 
     # ------------------------------------------------------------------ #
     # checkpoint / resume
@@ -617,32 +610,6 @@ class Session:
         theta = validate_theta(theta if theta is not None else self._spec.theta)
         return self._algorithm.output(theta)
 
-    def _streams_trace(self) -> bool:
-        """True when :meth:`run`/:meth:`watch` stream the trace instead of materialising keys."""
-        return (
-            self._spec.trace is not None
-            and self._spec.batch_size is not None
-            and self._keys is None
-        )
-
-    def _stream_chunks(self) -> Iterator[int]:
-        """Feed the spec's stream chunk by chunk, yielding after every chunk.
-
-        The single feed loop both :meth:`run` (drain, then query once) and
-        :meth:`watch` (query on a chunk cadence) are built on: streamed-trace
-        specs go through the trace reader (ring-buffer overlap included),
-        everything else through the materialised key stream, resuming past
-        an already-applied prefix either way.
-        """
-        if self._streams_trace():
-            yield from self._trace_chunks()
-            return
-        keys = self.keys()
-        total = len(keys)
-        yield from self._segment_chunks(
-            keys, min(self._resume_position, total), total, total
-        )
-
     def watch(self, theta: Optional[float] = None, *, every: int = 1) -> Iterator[HHHOutput]:
         """Feed the spec's stream, yielding an ``output(theta)`` every ``every`` chunks.
 
@@ -669,7 +636,7 @@ class Session:
     def _watch_iter(self, theta: float, every: int) -> Iterator[HHHOutput]:
         chunks = 0
         on_cadence = False
-        for _ in self._stream_chunks():
+        for _ in self._feed_loop(*self._spec_source()):
             chunks += 1
             on_cadence = chunks % every == 0
             if on_cadence:
@@ -685,38 +652,28 @@ class Session:
     ) -> SessionResult:
         """Feed the full stream, take the final output, return a :class:`SessionResult`.
 
-        Batch-mode trace specs stream the trace through :meth:`feed_trace`
-        (zero per-packet Python objects, optional ring-buffer overlap)
-        instead of materialising a key stream; checkpoints are not supported
-        on that streaming path.
-
+        Batch-mode trace specs stream the trace (zero per-packet Python
+        objects, optional ring-buffer overlap) instead of materialising a
+        key stream; checkpoints are not supported on that streaming path.
         ``packets`` on the result is the absolute stream position after the
-        feed - skipped resume prefix included - on *both* paths (the
-        streamed-trace branch used to report ``fed + resume`` while the keys
-        branch reported the raw key count, which disagreed for resumed
-        sessions whose checkpoint lay beyond the rebuilt stream).
+        feed, skipped resume prefix included.
         """
-        if self._streams_trace():
-            if checkpoints:
-                raise ConfigurationError(
-                    "checkpoints are not supported on streamed trace runs; "
-                    "pass explicit keys to checkpoint a trace stream"
-                )
-            start = time.perf_counter()
-            self.feed_trace()
-            seconds = time.perf_counter() - start
-            return SessionResult(
-                spec=self._spec,
-                output=self.output(theta),
-                packets=self._stream_position,
-                seconds=seconds,
-                measurements=[],
+        batches, total = self._spec_source()
+        # _spec_source materialised the keys unless it streams the trace.
+        if checkpoints and self._keys is None:
+            raise ConfigurationError(
+                "checkpoints are not supported on streamed trace runs; "
+                "pass explicit keys to checkpoint a trace stream"
             )
-        keys = self.keys()
+        measurements: List[Any] = []
         start = time.perf_counter()
-        measurements = self.feed(
-            keys, checkpoints=checkpoints, start=min(self._resume_position, len(keys))
-        )
+        if checkpoints:
+            measurements = self.feed(
+                self._keys, checkpoints=checkpoints, start=min(self._resume_position, total)
+            )
+        else:
+            for _ in self._feed_loop(batches, total):
+                pass
         seconds = time.perf_counter() - start
         return SessionResult(
             spec=self._spec,
@@ -729,19 +686,25 @@ class Session:
     def measure_speed(self, keys: Optional[Keys] = None) -> "SpeedResult":  # noqa: F821
         """Time the feed loop the spec selects (the Figure 5 measurement).
 
-        Per-packet specs use the unit-weight fast path measurement; batch
-        specs time ``update_batch`` over the spec's chunk size.
+        Per-packet specs time the unit-weight fast path
+        (:func:`~repro.eval.speed.measure_update_speed`); batch specs time
+        :meth:`feed` over ``keys`` (default :meth:`keys`), so the progress
+        hooks and periodic checkpoints fire inside the timed loop.
         """
         # Late import: repro.eval imports this module through its runner.
-        from repro.eval.speed import measure_batch_update_speed, measure_update_speed
+        from repro.eval.speed import SpeedResult, measure_update_speed
 
         if keys is None:
             keys = self.keys()
-        if self._spec.batch_size is not None:
-            return measure_batch_update_speed(
-                self._algorithm, keys, batch_size=self._spec.batch_size
-            )
-        return measure_update_speed(self._algorithm, keys)
+        if self._spec.batch_size is None:
+            return measure_update_speed(self._algorithm, keys)
+        start = time.perf_counter()
+        self.feed(keys)
+        return SpeedResult(
+            algorithm=self._algorithm.name,
+            packets=len(keys),
+            seconds=time.perf_counter() - start,
+        )
 
     # ------------------------------------------------------------------ #
     # virtual-switch integration
@@ -791,6 +754,12 @@ class Session:
             f"Session(algorithm={self._spec.algorithm.name!r}, "
             f"hierarchy={self._spec.hierarchy!r}, processed={self.processed})"
         )
+
+
+def _ring_buffered(batches: Iterable[Keys], depth: int, fault_plan) -> Iterator[Keys]:
+    """Yield ``batches`` through a :class:`RingBufferIngest` reader thread, closed on exit."""
+    with RingBufferIngest(batches, depth=depth, fault_plan=fault_plan) as ring:
+        yield from ring
 
 
 def _skip_batches(batches: Iterable[Keys], skip: int) -> Iterator[Keys]:

@@ -22,7 +22,7 @@ from repro.eval.metrics import (
     precision_recall,
 )
 from repro.eval.confidence import mean_confidence_interval
-from repro.eval.speed import SpeedResult, measure_batch_update_speed, measure_update_speed
+from repro.eval.speed import SpeedResult, measure_update_speed
 from repro.eval.runner import ExperimentResult, ExperimentRunner
 from repro.eval.reporting import format_table, to_csv
 
@@ -36,7 +36,6 @@ __all__ = [
     "evaluate_output",
     "mean_confidence_interval",
     "SpeedResult",
-    "measure_batch_update_speed",
     "measure_update_speed",
     "ExperimentRunner",
     "ExperimentResult",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.base import HHHOutput
 from repro.eval.ground_truth import GroundTruth
@@ -60,20 +61,30 @@ def coverage_error_ratio(output: HHHOutput, truth: GroundTruth, theta: float) ->
     """False-negative ratio: prefixes left out whose exact conditioned frequency reaches ``theta * N``.
 
     Only prefixes whose plain frequency reaches the threshold can violate
-    coverage (``C_{q|P} <= f_q``), so only those are examined.  The count of
-    violations is normalised by the size of the exact HHH set so traces of
-    different lengths are comparable, mirroring the percentage plotted in
-    Figure 3.
+    coverage (``C_{q|P} <= f_q``), so only those are examined.  As in the
+    exact solver (Definition 8 evaluates level ``l`` against ``HHH_{l-1}``),
+    a prefix is conditioned on the reported prefixes at strictly lower
+    levels, one pass over the keys per level with a missed prefix; a
+    reported ancestor (the root, say) therefore cannot hide a missed HHH
+    beneath it.  The count of violations is normalised by the size of the
+    exact HHH set so traces of different lengths are comparable, mirroring
+    the percentage plotted in Figure 3.
     """
-    reported: Set[PrefixKey] = {c.prefix.key() for c in output.candidates}
+    hierarchy = truth.hierarchy
+    reported = [c.prefix.key() for c in output.candidates]
+    reported_set: Set[PrefixKey] = set(reported)
+    missed: Dict[int, List[PrefixKey]] = defaultdict(list)
+    for prefix in truth.heavy_prefixes(theta):
+        if prefix not in reported_set:
+            missed[hierarchy.node_level(prefix[0])].append(prefix)
     threshold = theta * truth.total
-    conditioned = truth.conditioned_node_frequencies(list(reported))
     violations = 0
-    for node, value in truth.heavy_prefixes(theta):
-        if (node, value) in reported:
-            continue
-        if conditioned[node].get(value, 0) >= threshold:
-            violations += 1
+    for level, prefixes in missed.items():
+        below = [q for q in reported if hierarchy.node_level(q[0]) < level]
+        conditioned = truth.conditioned_node_frequencies(below)
+        violations += sum(
+            1 for node, value in prefixes if conditioned[node].get(value, 0) >= threshold
+        )
     exact_count = max(1, len(truth.hhh_set(theta)))
     return violations / exact_count
 

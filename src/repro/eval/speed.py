@@ -72,23 +72,3 @@ def measure_update_speed(algorithm: HHHAlgorithm, keys: Sequence[Hashable]) -> S
     elapsed = time.perf_counter() - start
     return SpeedResult(algorithm=algorithm.name, packets=len(plain_keys), seconds=elapsed)
 
-
-def measure_batch_update_speed(
-    algorithm: HHHAlgorithm, keys: Sequence[Hashable], *, batch_size: int = 131_072
-) -> SpeedResult:
-    """Time ``algorithm.update_batch`` over ``keys`` fed in ``batch_size`` chunks.
-
-    ``keys`` may be a plain sequence or a numpy key array (the zero-copy path
-    for the array-based traffic emitters).  The batch size trades aggregation
-    opportunity (bigger batches collapse more duplicate masked keys) against
-    working-set locality; the default works well for backbone-like streams.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    update_batch = algorithm.update_batch
-    total = len(keys)
-    start = time.perf_counter()
-    for start_index in range(0, total, batch_size):
-        update_batch(keys[start_index : start_index + batch_size])
-    elapsed = time.perf_counter() - start
-    return SpeedResult(algorithm=algorithm.name, packets=total, seconds=elapsed)

@@ -29,7 +29,6 @@ from repro.hh.lossy_counting import LossyCounting
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
 from repro.hh.conservative_update import ConservativeCountMin
-from repro.hh.factory import make_counter, COUNTER_REGISTRY
 
 __all__ = [
     "FrequencyEstimator",
@@ -43,6 +42,4 @@ __all__ = [
     "CountMinSketch",
     "CountSketch",
     "ConservativeCountMin",
-    "make_counter",
-    "COUNTER_REGISTRY",
 ]

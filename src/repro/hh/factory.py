@@ -1,29 +1,17 @@
-"""Legacy counter-construction surface (deprecation shim).
+"""How the HHH algorithms accept their per-node counter argument.
 
-The canonical construction API is :mod:`repro.api`: describe a backend with a
+The construction API is :mod:`repro.api`: describe a backend with a
 :class:`~repro.api.specs.CounterSpec` and build it with
 :func:`~repro.api.registry.build_counter`, or register new backends with
-:func:`~repro.api.registry.register_counter`.  This module keeps the two
-pre-API entry points alive for existing callers:
-
-* :func:`make_counter` - ``(name, epsilon)`` construction (deprecated);
-* :data:`COUNTER_REGISTRY` - the frozen legacy view of the builtin backends
-  as ``factory(epsilon)`` callables (deprecated; new backends registered via
-  the decorator API do **not** appear here).
-
-Note the count-sketch epsilon clamp that used to hide in this module now
-lives in :class:`~repro.api.specs.CounterSpec` as the overridable
-``min_epsilon`` field, and warns when it fires.
-
-:func:`resolve_counter` is the non-deprecated internal helper the HHH
-algorithms use to accept a backend name, a ``CounterSpec`` or a bare factory
-callable interchangeably.
+:func:`~repro.api.registry.register_counter`.  :func:`resolve_counter` and
+:func:`prepare_counter_factory` are the internal helpers the HHH algorithms
+use to accept a backend name, a ``CounterSpec`` or a bare factory callable
+interchangeably.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Union
+from typing import Callable, Union
 
 from repro.hh.base import CounterAlgorithm
 
@@ -31,18 +19,6 @@ from repro.hh.base import CounterAlgorithm
 #: backend name, a :class:`~repro.api.specs.CounterSpec`, or a bare
 #: ``factory(epsilon) -> CounterAlgorithm`` callable.
 CounterLike = Union[str, "CounterSpec", Callable[[float], CounterAlgorithm]]  # noqa: F821
-
-#: The builtin backend names of the legacy registry surface.  Frozen: the
-#: decorator-registered plugin table lives in :mod:`repro.api.registry`.
-_LEGACY_COUNTER_NAMES = (
-    "space_saving",
-    "misra_gries",
-    "lossy_counting",
-    "count_min",
-    "count_sketch",
-    "conservative_count_min",
-    "exact",
-)
 
 
 def resolve_counter(counter: CounterLike, epsilon: float) -> CounterAlgorithm:
@@ -80,44 +56,3 @@ def prepare_counter_factory(counter: CounterLike, epsilon: float) -> Callable[[]
     spec = CounterSpec(name=counter) if isinstance(counter, str) else counter
     resolved = spec.resolve(default_epsilon=epsilon)
     return lambda: build_counter(resolved)
-
-
-def _legacy_factory(name: str) -> Callable[[float], CounterAlgorithm]:
-    def factory(epsilon: float) -> CounterAlgorithm:
-        return resolve_counter(name, epsilon)
-
-    factory.__name__ = f"make_{name}"
-    factory.__doc__ = f"Legacy ``factory(epsilon)`` wrapper over repro.api for {name!r}."
-    return factory
-
-
-COUNTER_REGISTRY: Dict[str, Callable[[float], CounterAlgorithm]] = {
-    name: _legacy_factory(name) for name in _LEGACY_COUNTER_NAMES
-}
-"""Deprecated: mapping of builtin counter name to ``factory(epsilon)``.
-
-Use :func:`repro.api.registry.build_counter` / ``counter_names()`` instead.
-"""
-
-
-def make_counter(name: str, epsilon: float) -> CounterAlgorithm:
-    """Instantiate the counter algorithm called ``name`` (deprecated).
-
-    Deprecated in favour of :func:`repro.api.registry.build_counter`, which
-    accepts a full :class:`~repro.api.specs.CounterSpec` (explicit sketch
-    sizes, seeds, memory-budget auto-selection) instead of epsilon alone.
-
-    Args:
-        name: one of the keys of :data:`COUNTER_REGISTRY`.
-        epsilon: per-counter relative error target (``epsilon_a`` in the paper).
-
-    Raises:
-        ConfigurationError: if the name is unknown.
-    """
-    warnings.warn(
-        "make_counter(name, epsilon) is deprecated; use "
-        "repro.api.build_counter(CounterSpec(name=...), epsilon=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_counter(name, epsilon)

@@ -22,7 +22,6 @@ from repro.hhh.mst import MST
 from repro.hhh.sampled_mst import SampledMST
 from repro.hhh.ancestry import FullAncestry, PartialAncestry
 from repro.hhh.exact import ExactHHH
-from repro.hhh.registry import ALGORITHM_REGISTRY, make_algorithm
 
 __all__ = [
     "MST",
@@ -30,6 +29,4 @@ __all__ = [
     "FullAncestry",
     "PartialAncestry",
     "ExactHHH",
-    "ALGORITHM_REGISTRY",
-    "make_algorithm",
 ]

@@ -149,28 +149,3 @@ class TestTypedKwargs:
         )
         assert type(algorithm.node_counter(0)).__name__ == "CountMinSketch"
 
-
-class TestLegacyShims:
-    def test_make_counter_warns_but_works(self):
-        from repro.hh.factory import COUNTER_REGISTRY, make_counter
-
-        with pytest.warns(DeprecationWarning):
-            counter = make_counter("space_saving", 0.01)
-        assert isinstance(counter, SpaceSaving)
-        # The legacy dict is a frozen view: decorator-registered backends
-        # (e.g. array_space_saving) appear only in the live registry.
-        assert set(COUNTER_REGISTRY) <= set(counter_names())
-
-    def test_make_algorithm_warns_but_works(self, byte_hierarchy):
-        from repro.hhh.registry import ALGORITHM_REGISTRY, make_algorithm
-
-        with pytest.warns(DeprecationWarning):
-            algorithm = make_algorithm("rhhh", byte_hierarchy, epsilon=0.05, delta=0.1, seed=1)
-        assert isinstance(algorithm, RHHH)
-        assert set(ALGORITHM_REGISTRY) == set(algorithm_names())
-
-    def test_legacy_positional_factories_still_callable(self, byte_hierarchy):
-        from repro.hhh.registry import ALGORITHM_REGISTRY
-
-        algorithm = ALGORITHM_REGISTRY["10-rhhh"](byte_hierarchy, 0.05, 0.1, 3)
-        assert algorithm.v == 10 * byte_hierarchy.size

@@ -19,10 +19,12 @@ from repro.api.registry import build_algorithm
 from repro.api.session import Session, run_experiment
 from repro.api.specs import AlgorithmSpec, CounterSpec, ExperimentSpec
 from repro.core.rhhh import RHHH
+from repro.eval.speed import SpeedResult
 from repro.exceptions import ConfigurationError
 from repro.hhh.mst import MST
 from repro.hierarchy.onedim import ipv4_byte_hierarchy
 from repro.traffic.caida_like import named_workload
+from repro.traffic.zipf import ZipfFlowGenerator
 
 EPSILON = 0.05
 DELTA = 0.1
@@ -232,3 +234,22 @@ class TestHooksAndValidation:
         result = session.measure_speed()
         assert result.packets == 1_000
         assert session.algorithm.total == 1_000
+
+    def test_measure_speed_batch_processes_every_packet(self):
+        keys = np.asarray(
+            ZipfFlowGenerator(num_flows=300, skew=1.1, seed=13).keys_1d(5_000), dtype=np.int64
+        )
+        session = Session(_spec("rhhh", batch_size=1_024, packets=5_000), keys=keys)
+        seen = []
+        session.add_progress_hook(lambda sess, processed, total: seen.append(processed))
+        result = session.measure_speed()
+        assert isinstance(result, SpeedResult)
+        assert result.packets == len(keys)
+        assert session.algorithm.total == len(keys)
+        assert result.packets_per_second > 0
+        # The batch branch times the session's feed loop, so hooks fire.
+        assert seen == [1_024, 2_048, 3_072, 4_096, 5_000]
+
+    def test_measure_speed_batch_rejects_bad_batch_size(self):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            _spec("rhhh", batch_size=0, packets=5_000)

@@ -384,6 +384,40 @@ class TestSessionResumeParity:
         assert result.packets == baseline.packets == 20_000
         assert _output_state(result.output) == _output_state(baseline.output)
 
+    def test_resumed_trace_progress_reports_absolute_positions(self, tmp_path):
+        # Regression: the streamed-trace feed reported the count fed since
+        # the resume against the full-stream total, so a resumed run's last
+        # progress call stopped at (23_616, 40_000) instead of reaching it.
+        trace = str(tmp_path / "stream.v2")
+        keys = named_workload("chicago16", num_flows=1_000).key_array(40_000)
+        write_trace_v2(
+            trace,
+            (
+                Packet(src=int(s), dst=int(d), src_port=0, dst_port=0, protocol=6, size=64)
+                for s, d in keys.tolist()
+            ),
+            chunk_size=8_192,
+        )
+        spec = _session_spec(trace=trace, packets=40_000, batch_size=4_096)
+        path = tmp_path / "trace.rckp"
+        session = Session(spec, checkpoint_every=16_000, checkpoint_path=path)
+        from repro.core.ingest import rechunk_batches
+        from repro.traffic.trace_io import trace_key_batches
+
+        batches = list(
+            rechunk_batches(trace_key_batches(trace, dimensions=2, limit=40_000), 4_096)
+        )
+        session.feed_batches(batches[:5])
+        assert load_checkpoint(path)["position"] == 16_384
+
+        resumed = Session.resume(path)
+        seen = []
+        resumed.add_progress_hook(lambda s, done, total: seen.append((done, total)))
+        resumed.run()
+        assert seen[0] == (16_384 + 4_096, 40_000)
+        assert seen[-1] == (40_000, 40_000)
+        assert [done for done, _ in seen] == sorted(done for done, _ in seen)
+
 
 class TestSkipBatches:
     BATCHES = (np.arange(4), np.arange(4), np.arange(2))

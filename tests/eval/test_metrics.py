@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import make_hierarchy
 from repro.core.base import HHHCandidate, HHHOutput
 from repro.eval.ground_truth import GroundTruth
 from repro.eval.metrics import (
@@ -15,6 +16,7 @@ from repro.eval.metrics import (
 )
 from repro.hierarchy.ip import ipv4_to_int
 from repro.hierarchy.onedim import ipv4_byte_hierarchy
+from repro.traffic.caida_like import named_workload
 
 
 def _keys():
@@ -121,6 +123,23 @@ class TestCoverageError:
             threshold=300,
         )
         assert coverage_error_ratio(output, truth, theta=0.3) == 0.0
+
+    def test_dropped_exact_hhh_is_a_violation(self):
+        # Regression: conditioning on every reported prefix let a reported
+        # ancestor (the root) cover the packets of a missed HHH beneath it,
+        # so the exact set minus one level-0 HHH scored 0.0.
+        hierarchy = make_hierarchy("1d-bytes")
+        keys = named_workload("sanjose14").keys_1d(20_000)
+        truth = GroundTruth(hierarchy, keys)
+        exact = truth.exact.output(0.05)
+        dropped = next(c for c in exact.candidates if hierarchy.node_level(c.prefix.node) == 0)
+        output = HHHOutput(
+            candidates=[c for c in exact.candidates if c is not dropped],
+            total=exact.total,
+            threshold=exact.threshold,
+        )
+        assert coverage_error_ratio(exact, truth, theta=0.05) == 0.0
+        assert coverage_error_ratio(output, truth, theta=0.05) >= 1 / len(exact.candidates)
 
 
 class TestFalsePositivesAndPrecisionRecall:

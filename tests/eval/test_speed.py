@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.rhhh import RHHH
-from repro.eval.speed import SpeedResult, measure_batch_update_speed, measure_update_speed
+from repro.eval.speed import measure_update_speed
 from repro.hierarchy.onedim import ipv4_byte_hierarchy
 from repro.traffic.zipf import ZipfFlowGenerator
 
@@ -71,20 +71,3 @@ class TestMeasureUpdateSpeed:
         assert result.packets == 800
         assert algorithm.total == 800
 
-
-class TestMeasureBatchUpdateSpeed:
-    def test_processes_every_packet(self, keys):
-        hierarchy = ipv4_byte_hierarchy()
-        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=1)
-        result = measure_batch_update_speed(
-            algorithm, np.asarray(keys, dtype=np.int64), batch_size=1_024
-        )
-        assert isinstance(result, SpeedResult)
-        assert result.packets == len(keys)
-        assert algorithm.total == len(keys)
-        assert result.packets_per_second > 0
-
-    def test_rejects_bad_batch_size(self, keys):
-        algorithm = RHHH(ipv4_byte_hierarchy(), epsilon=0.05, delta=0.1, seed=1)
-        with pytest.raises(ValueError):
-            measure_batch_update_speed(algorithm, keys, batch_size=0)

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.hh.factory import COUNTER_REGISTRY, make_counter
+from repro.api.registry import build_counter, counter_names
 from repro.hh.space_saving import SpaceSaving
 
 
@@ -33,10 +33,10 @@ def _random_pairs(seed: int, count: int, key_space: int = 50, max_weight: int = 
 
 
 class TestCounterBatchFallback:
-    @pytest.mark.parametrize("name", sorted(COUNTER_REGISTRY))
+    @pytest.mark.parametrize("name", counter_names())
     def test_update_batch_matches_scalar_loop(self, name):
-        batched = make_counter(name, 0.05)
-        sequential = make_counter(name, 0.05)
+        batched = build_counter(name, epsilon=0.05)
+        sequential = build_counter(name, epsilon=0.05)
         pairs = _random_pairs(seed=17, count=800)
         batched.update_batch(pairs)
         for key, weight in pairs:
@@ -45,7 +45,7 @@ class TestCounterBatchFallback:
         assert _signature(batched) == _signature(sequential)
 
     def test_update_batch_accepts_generator(self):
-        counter = make_counter("space_saving", 0.1)
+        counter = build_counter("space_saving", epsilon=0.1)
         counter.update_batch((key, 2) for key in range(5))
         assert counter.total == 10
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import algorithm_names, build_algorithm
 from repro.core.rhhh import RHHH
 from repro.eval.ground_truth import GroundTruth
 from repro.eval.metrics import evaluate_output
 from repro.hhh.mst import MST
-from repro.hhh.registry import ALGORITHM_REGISTRY, make_algorithm
 from repro.hierarchy.ip import ipv4_to_int
 from repro.traffic.ddos import DDoSScenario
 from repro.traffic.trace_io import read_trace_binary, write_trace_binary
@@ -19,10 +19,10 @@ from repro.vswitch.ovs import DataplaneMeasurement, OVSSwitch
 
 
 class TestTrafficToMetricsPipeline:
-    @pytest.mark.parametrize("name", sorted(set(ALGORITHM_REGISTRY) - {"exact"}))
+    @pytest.mark.parametrize("name", sorted(set(algorithm_names()) - {"exact"}))
     def test_every_algorithm_produces_sane_metrics(self, name, byte_hierarchy, small_backbone_keys_1d):
         keys = small_backbone_keys_1d[:10_000]
-        algorithm = make_algorithm(name, byte_hierarchy, epsilon=0.05, delta=0.1, seed=3)
+        algorithm = build_algorithm(name, byte_hierarchy, epsilon=0.05, delta=0.1, seed=3)
         algorithm.update_stream(keys)
         truth = GroundTruth(byte_hierarchy, keys)
         report = evaluate_output(algorithm.output(0.1), truth, epsilon=0.05, theta=0.1)
