@@ -93,13 +93,6 @@ class HHHAlgorithm(abc.ABC):
     def __init__(self, hierarchy: Hierarchy) -> None:
         self._hierarchy = hierarchy
         self._total = 0
-        #: Extra stream-level weight added to every conditioned estimate by
-        #: :meth:`output` - zero in normal operation.  A degraded sharded
-        #: engine sets it to the lost shards' unaccounted packet weight, so
-        #: the coverage guarantee survives the loss: any prefix the missing
-        #: packets could have pushed over ``theta * N`` still clears the
-        #: threshold test.
-        self.extra_correction: float = 0.0
 
     @property
     def hierarchy(self) -> Hierarchy:

@@ -195,6 +195,17 @@ def coerce_key_array(keys: Sequence, n: int) -> Optional[np.ndarray]:
     return arr
 
 
+def check_weight(weight: int) -> None:
+    """Reject a per-packet weight below 1.
+
+    The guarantees assume an insert-only stream: a zero or negative weight
+    would fold into a positive aggregate (or fail half-way through an
+    update), so engines call this before any state moves.
+    """
+    if weight < 1:
+        raise ConfigurationError(f"weights must be >= 1, got {weight}")
+
+
 def coerce_weights(
     weights: Optional[Sequence[int]], n: int
 ) -> Tuple[Optional[np.ndarray], int]:
@@ -202,7 +213,8 @@ def coerce_weights(
 
     ``weights=None`` stands for unit weights: the array stays ``None`` (the
     aggregation paths special-case it into plain counting) and the total is
-    the batch length.
+    the batch length.  Every weight must be at least 1 (see
+    :func:`check_weight`); callers validate before any RNG draw or update.
     """
     if weights is None:
         return None, n
@@ -211,6 +223,8 @@ def coerce_weights(
         raise ConfigurationError(
             f"weights length ({len(weights_arr)}) does not match keys length ({n})"
         )
+    if n:
+        check_weight(int(weights_arr.min()))
     return weights_arr, int(weights_arr.sum())
 
 

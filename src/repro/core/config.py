@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.analysis.bounds import coverage_correction, oversample_adjusted_counters, psi
 from repro.exceptions import ConfigurationError
-from repro.hh.factory import CounterLike
+from repro.core.output import CounterLike
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ the stream, ``1`` for MST) and in the additive ``correction`` term of
 Algorithm 1 line 13 (``2 Z_{1-delta} sqrt(N V)`` for RHHH, ``0`` for the
 deterministic baselines).
 
+:class:`LatticeHHH` is the base the three lattice algorithms share: one
+counter summary per lattice node, the compiled generalizers, the per-node
+version counters and the :class:`OutputCache`.  Each subclass states its
+Output once, as :meth:`LatticeHHH.query` over explicit state - its own for
+``output(theta)``, a merged lattice for the sharded and distributed
+engines.
+
 The module also owns the *incremental* query engine behind repeated
 ``output(theta)`` calls: engines stamp a per-lattice-node version counter on
 every update, and an :class:`OutputCache` keeps the previous pass per theta -
@@ -25,10 +32,11 @@ selections in the same insertion order.
 
 from __future__ import annotations
 
+import abc
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.base import HHHCandidate, HHHOutput
+from repro.core.base import HHHAlgorithm, HHHCandidate, HHHOutput
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 from repro.hierarchy.base import Hierarchy, PrefixKey
@@ -580,3 +588,101 @@ def lattice_output(
                     )
                 )
     return HHHOutput(candidates=candidates, total=total, threshold=threshold)
+
+
+#: What a lattice algorithm accepts as its ``counter`` argument: a registered
+#: backend name, a :class:`~repro.api.specs.CounterSpec`, or a bare
+#: ``factory(epsilon) -> CounterAlgorithm`` callable.
+CounterLike = Union[str, "CounterSpec", Callable[[float], CounterAlgorithm]]  # noqa: F821
+
+
+def prepare_counter_factory(counter: CounterLike, epsilon: float) -> Callable[[], CounterAlgorithm]:
+    """Return a zero-argument factory producing fresh counters for ``counter``.
+
+    The spec is resolved **once** - so an epsilon clamp or an ``auto``
+    backend choice (and its warning) happens once per algorithm, not once
+    per lattice node - and the returned factory then builds identical
+    independent instances.  ``epsilon`` is the per-counter error target the
+    owning algorithm resolved; a ``CounterSpec`` that pins its own
+    ``epsilon`` wins over it.
+    """
+    if callable(counter) and not isinstance(counter, str):
+        return lambda: counter(epsilon)
+    # Late import: repro.api.registry imports the algorithm modules, which
+    # import this module - the cycle only resolves at call time.
+    from repro.api.registry import build_counter
+    from repro.api.specs import CounterSpec
+
+    spec = CounterSpec(name=counter) if isinstance(counter, str) else counter
+    resolved = spec.resolve(default_epsilon=epsilon)
+    return lambda: build_counter(resolved)
+
+
+class LatticeHHH(HHHAlgorithm):
+    """An HHH algorithm keeping one counter summary per lattice node.
+
+    Owns the state RHHH, MST and SampledMST share: the per-node counters
+    (built from one resolved counter factory), the scalar and batch
+    generalizers, the per-node version counters that mark nodes dirty for
+    the incremental Output pass, and that pass's :class:`OutputCache`.
+
+    Subclasses implement :meth:`query`, their Output over explicit state;
+    :meth:`output` runs it over the algorithm's own.
+
+    Args:
+        hierarchy: the hierarchical domain.
+        counter: the per-node counter backend (name, CounterSpec or factory).
+        epsilon: the per-counter error target handed to the factory.
+    """
+
+    def __init__(self, hierarchy: Hierarchy, counter: CounterLike, epsilon: float) -> None:
+        super().__init__(hierarchy)
+        counter_factory = prepare_counter_factory(counter, epsilon)
+        self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
+        self._generalizers = hierarchy.compile_generalizers()
+        self._batch_generalizers = hierarchy.compile_batch_generalizers()
+        #: Per-lattice-node update counters driving the incremental query
+        #: engine: any bump marks the node dirty for the next output pass.
+        self._versions: List[int] = [0] * hierarchy.size
+        self._output_cache: Optional[OutputCache] = OutputCache()
+
+    def _bump_versions(self) -> None:
+        """Mark every node dirty (an update that touched the whole lattice)."""
+        versions = self._versions
+        for node in range(len(versions)):
+            versions[node] += 1
+
+    @abc.abstractmethod
+    def query(
+        self,
+        theta: float,
+        counters: Sequence[CounterAlgorithm],
+        total: int,
+        versions: Optional[Sequence[int]],
+        cache: Optional[OutputCache],
+        lost: float = 0.0,
+    ) -> HHHOutput:
+        """This algorithm's Output over the given lattice state.
+
+        Args:
+            theta: threshold fraction.
+            counters: one counter summary per lattice node.
+            total: stream length ``N``, including ``lost``.
+            versions: per-node version counters of ``counters``.
+            cache: the :class:`OutputCache` paired with ``versions``
+                (``None`` runs the from-scratch pass).
+            lost: stream weight no counter accounts for (a lost shard or
+                switch); every conditioned estimate gains it, so any prefix
+                the missing weight could have pushed over ``theta * N``
+                still clears the threshold.
+        """
+
+    def output(self, theta: float) -> HHHOutput:
+        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
+
+    def counters(self) -> int:
+        return sum(c.counters() for c in self._counters)
+
+    def node_counter(self, node: int) -> CounterAlgorithm:
+        """Return the counter summary of lattice node ``node`` (for tests and diagnostics)."""
+        return self._counters[node]

@@ -21,13 +21,14 @@ cost of ``r`` counter updates per packet.
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.bounds import coverage_correction
-from repro.core.base import HHHAlgorithm, HHHOutput
+from repro.core.base import HHHOutput
 from repro.core.batch import (
+    check_weight,
     coerce_key_array,
     coerce_weights,
     feed_counter,
@@ -36,14 +37,13 @@ from repro.core.batch import (
     sorted_pairs,
 )
 from repro.core.config import RHHHConfig
-from repro.core.output import OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.factory import CounterLike, prepare_counter_factory
 from repro.hierarchy.base import Hierarchy
 
 
-class RHHH(HHHAlgorithm):
+class RHHH(LatticeHHH):
     """The paper's randomized constant-time HHH algorithm.
 
     Args:
@@ -76,7 +76,6 @@ class RHHH(HHHAlgorithm):
         seed: Optional[int] = None,
         updates_per_packet: int = 1,
     ) -> None:
-        super().__init__(hierarchy)
         if config is None:
             config = RHHHConfig(
                 h=hierarchy.size, epsilon=epsilon, delta=delta, v=v, counter=counter, seed=seed
@@ -87,25 +86,18 @@ class RHHH(HHHAlgorithm):
             )
         if updates_per_packet < 1:
             raise ConfigurationError(f"updates_per_packet must be >= 1, got {updates_per_packet}")
+        super().__init__(hierarchy, config.counter, config.counter_epsilon)
         self._config = config
         self._r = updates_per_packet
         self._rng = random.Random(config.seed)
         self._v = config.effective_v
         self._h = hierarchy.size
-        counter_factory = prepare_counter_factory(config.counter, config.counter_epsilon)
-        self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(self._h)]
-        self._generalizers = hierarchy.compile_generalizers()
-        self._batch_generalizers = hierarchy.compile_batch_generalizers()
         # The batch path pre-draws node choices with a numpy Generator: an
         # independent (but equally seeded, hence reproducible) RNG stream from
         # the per-packet random.Random used by update()/update_fast().
         self._batch_rng = np.random.default_rng(config.seed)
         self._ignored = 0
         self._update_calls = 0
-        #: Per-lattice-node update counters driving the incremental query
-        #: engine: any bump marks the node dirty for the next output pass.
-        self._versions: List[int] = [0] * self._h
-        self._output_cache: Optional[OutputCache] = OutputCache()
 
     # ------------------------------------------------------------------ #
     # stream processing
@@ -113,6 +105,7 @@ class RHHH(HHHAlgorithm):
 
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Process one packet: update at most ``updates_per_packet`` random lattice nodes."""
+        check_weight(weight)
         self._total += weight
         randrange = self._rng.randrange
         v = self._v
@@ -216,17 +209,10 @@ class RHHH(HHHAlgorithm):
         n = len(keys)
         if n == 0:
             return
-        if weights is not None:
-            if len(weights) != n:
-                raise ConfigurationError(
-                    f"weights length ({len(weights)}) does not match keys length ({n})"
-                )
-            weight_list = [int(w) for w in weights]
-        else:
-            weight_list = [1] * n
+        weights_arr, total_weight = coerce_weights(weights, n)
         draws = self._draw_nodes(n)
-        self._total += sum(weight_list)
-        self._apply_batch_scalar(keys, np.asarray(weight_list), draws)
+        self._total += total_weight
+        self._apply_batch_scalar(keys, weights_arr, draws)
 
     def _apply_batch_scalar(self, keys, weights_arr, draws) -> None:
         """Apply pre-drawn node choices to a batch with scalar loops."""
@@ -257,33 +243,42 @@ class RHHH(HHHAlgorithm):
     # queries
     # ------------------------------------------------------------------ #
 
+    # Defined here, not inherited: perfbench's tracer hooks ``RHHH.output`` by name.
     def output(self, theta: float) -> HHHOutput:
         """Return the approximate HHH set for threshold fraction ``theta`` (Algorithm 1, Output)."""
+        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
+
+    def query(
+        self,
+        theta: float,
+        counters: Sequence[CounterAlgorithm],
+        total: int,
+        versions: Optional[Sequence[int]],
+        cache: Optional[OutputCache],
+        lost: float = 0.0,
+    ) -> HHHOutput:
+        """Algorithm 1's Output: counters scaled by ``V``, plus ``2 Z sqrt(N V)``."""
         theta = validate_theta(theta)
-        scale = self._v / self._r
         correction = (
-            coverage_correction(self._total * self._r, self._v, self._config.delta) / self._r
-            if self._total > 0
+            coverage_correction(total * self._r, self._v, self._config.delta) / self._r
+            if total > 0
             else 0.0
-        ) + self.extra_correction
+        ) + lost
         return lattice_output(
             self._hierarchy,
-            self._counters,
+            counters,
             theta,
-            self._total,
-            scale=scale,
+            total,
+            scale=self._v / self._r,
             correction=correction,
-            versions=self._versions,
-            cache=self._output_cache,
+            versions=versions,
+            cache=cache,
         )
 
     def frequency_estimate(self, key: Hashable, node: int = 0) -> float:
         """Estimate the frequency of ``key`` masked to lattice node ``node``."""
         value = self._hierarchy.generalize(key, node)
         return self._counters[node].estimate(value) * self._v / self._r
-
-    def counters(self) -> int:
-        return sum(c.counters() for c in self._counters)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -318,7 +313,3 @@ class RHHH(HHHAlgorithm):
     def is_converged(self) -> bool:
         """True when the stream has exceeded the convergence bound ``psi`` (Theorem 6.17)."""
         return self._config.is_converged(self._total * self._r)
-
-    def node_counter(self, node: int) -> CounterAlgorithm:
-        """Return the counter summary of lattice node ``node`` (for tests and diagnostics)."""
-        return self._counters[node]

@@ -37,9 +37,9 @@ import numpy as np
 
 from repro.api.specs import AlgorithmSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
-from repro.core.batch import coerce_key_array, coerce_weights
+from repro.core.batch import check_weight, coerce_key_array, coerce_weights
 from repro.core.checkpoint import apply_runtime_state, capture_runtime_state
-from repro.core.output import OutputCache
+from repro.core.output import LatticeHHH, OutputCache
 from repro.core.supervise import ShardLoss, ShardSupervisor, SupervisorPolicy
 from repro.exceptions import AlgorithmError, CheckpointError, ConfigurationError
 from repro.hh.base import FrequencyEstimator
@@ -188,10 +188,12 @@ class LatticeMerger:
     """Reduces replica counter lattices and answers ``output(theta)`` on the merge.
 
     The merger owns a replica-shaped *template* (per-replica counter sizing,
-    so capacities line up with the replica summaries); :meth:`output` swaps
-    the merged lattice into it and runs its Output, which supplies the
+    so capacities line up with the replica summaries); :meth:`output` hands
+    the merged lattice to the template's
+    :meth:`~repro.core.output.LatticeHHH.query`, which supplies the
     algorithm-specific scaling and sampling correction (``V`` and the
     ``2 Z sqrt(NV)`` term for RHHH) against the combined stream length.
+    The template's own counters, total, versions and cache are never touched.
 
     Replica states are reduced in replica order: at each lattice node the
     first replica's counter is the merge target and every later one is
@@ -204,8 +206,8 @@ class LatticeMerger:
 
     Queries are incremental: each node's merged counter is cached under a
     driver-supplied signature (an equal signature promises an unchanged
-    merge at that node), a rebuilt node bumps the version the template
-    carries into its incremental Output pass, and that pass keeps its own
+    merge at that node), a rebuilt node bumps the merger's per-node version
+    handed to the incremental Output pass, and that pass keeps its own
     :attr:`cache`.  Setting :attr:`cache` to ``None`` forces the
     from-scratch reference (full re-merge, uncached Output) that the
     streaming-parity suite compares against.
@@ -227,12 +229,12 @@ class LatticeMerger:
         self.template = build_algorithm(
             per_shard_algorithm_spec(algorithm, algorithm.seed, parts), hierarchy
         )
-        if not hasattr(self.template, "_counters"):
+        if not isinstance(self.template, LatticeHHH):
             raise ConfigurationError(
                 f"algorithm {algorithm.name!r} keeps no per-node counter lattice; "
                 "merged execution supports the lattice algorithms (rhhh, mst, sampled_mst)"
             )
-        probe = self.template._counters[0]
+        probe = self.template.node_counter(0)
         if type(probe).merge is FrequencyEstimator.merge:
             raise ConfigurationError(
                 f"counter backend {type(probe).__name__} does not implement merge(); "
@@ -317,7 +319,7 @@ class LatticeMerger:
         *,
         live: bool,
     ) -> HHHOutput:
-        """Merge the replicas and run the template's Output on the result.
+        """Merge the replicas and run the template's query on the result.
 
         ``loss`` is read after the states are fetched (a fetch can discover
         a failure) and returns the weight no replica state accounts for with
@@ -326,36 +328,15 @@ class LatticeMerger:
         every conditioned estimate gains it (so no prefix that could have
         reached the threshold is dropped), every candidate's upper bound is
         stretched by it, and the reports ride along on ``failed_shards``.
-        Every hijacked template attribute - counters, total, correction,
-        version/cache pair - is restored afterwards, so the template never
-        holds merged state between queries.
         """
         if self.cache is not None:
             merged, merged_total = self.reduce(signatures, states, live=live)
         else:
             merged, merged_total = self.merged_counters(states, live=live)
         lost, losses = loss()
-        template = self.template
-        saved_counters = template._counters
-        saved_total = template._total
-        saved_versions = getattr(template, "_versions", None)
-        saved_cache = getattr(template, "_output_cache", None)
-        has_cache_attrs = saved_versions is not None
-        template._counters = merged
-        template._total = merged_total + lost
-        template.extra_correction = float(lost)
-        if has_cache_attrs:
-            template._versions = self._versions
-            template._output_cache = self.cache
-        try:
-            result = template.output(theta)
-        finally:
-            template.extra_correction = 0.0
-            template._counters = saved_counters
-            template._total = saved_total
-            if has_cache_attrs:
-                template._versions = saved_versions
-                template._output_cache = saved_cache
+        result = self.template.query(
+            theta, merged, merged_total + lost, self._versions, self.cache, lost
+        )
         if lost:
             result.candidates = [
                 dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
@@ -506,6 +487,7 @@ class ShardedHHH(HHHAlgorithm):
         the supervisor recovered/degraded the failure), so a dispatch
         failure never leaves the recorded total ahead of the shard state.
         """
+        check_weight(weight)
         shard = shard_of_key(key, self._shards)
         if self._parallel:
             batch = self._batch_index

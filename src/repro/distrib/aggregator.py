@@ -110,10 +110,10 @@ class Aggregator:
             self.messages_late += 1
             return None
         nodes = message["nodes"]
-        if len(nodes) != len(self._template._counters):
+        if len(nodes) != self._hierarchy.size:
             raise WireFormatError(
                 f"wire message carries {len(nodes)} node states, "
-                f"lattice has {len(self._template._counters)} nodes"
+                f"lattice has {self._hierarchy.size} nodes"
             )
         if message["kind"] == wire.KIND_DELTA:
             base_epoch = int(message["base_epoch"])

@@ -22,7 +22,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.api.specs import ExperimentSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
-from repro.core.batch import coerce_weights
+from repro.core.batch import check_weight, coerce_weights
 from repro.core.faults import FaultPlan
 from repro.core.shard import partition_batch, shard_of_key, spawn_shard_seeds
 from repro.distrib.aggregator import Aggregator
@@ -118,6 +118,7 @@ class DistributedCluster(HHHAlgorithm):
 
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Route one packet to the switch owning its key (per-packet path)."""
+        check_weight(weight)
         self._fire_kills()
         switch = shard_of_key(key, self._switches)
         self._dispatched[switch] += weight  # reprolint: ok(checkpoint-drift)
@@ -140,8 +141,8 @@ class DistributedCluster(HHHAlgorithm):
         n = len(keys)
         if n == 0:
             return
-        self._fire_kills()
         weights_arr, total_weight = coerce_weights(weights, n)
+        self._fire_kills()
         for switch, (sub_keys, sub_weights) in enumerate(
             partition_batch(keys, weights_arr, self._switches)
         ):

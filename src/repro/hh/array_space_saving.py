@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.merge import check_same_capacity, merged_space_saving_entries
+from repro.hh.merge import merge_space_saving
 
 #: Below this wave length the sorted-wave eviction keeps re-sorting the table
 #: for almost no progress; the replay drops to the heap path instead.
@@ -562,27 +562,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         implementations (fresh stamps in insertion order here, bucket FIFO
         there).
         """
-        if not hasattr(other, "_entries") or not hasattr(other, "_min_count"):
-            raise ConfigurationError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}; "
-                "merge requires another Space Saving summary"
-            )
-        check_same_capacity(self, other)
-        floor_a = max(self._min_count(), self._absent_floor)
-        floor_b = max(other._min_count(), other._absent_floor)
-        kept, truncated = merged_space_saving_entries(
-            self._entries(),
-            self._min_count(),
-            other._entries(),
-            other._min_count(),
-            self._capacity,
-            disjoint=disjoint,
-        )
-        floor = max(floor_a, floor_b) if disjoint else floor_a + floor_b
-        if truncated:
-            floor = max(floor, kept[-1][1])  # smallest kept count bounds the dropped
-        kept.reverse()  # canonical count-descending -> ascending insertion order
-        total = self._total + other.total
+        kept, total, floor = merge_space_saving(self, other, disjoint=disjoint)
         n = len(kept)
         self._counts = np.zeros(self._capacity, dtype=np.int64)
         self._errors = np.zeros(self._capacity, dtype=np.int64)

@@ -156,3 +156,29 @@ def merged_space_saving_entries(
     for key, (count, error) in by_key.items():
         merged.append((key, count + charge_b, error + charge_b))
     return _canonical_entry_order(merged)[:capacity], len(merged) > capacity
+
+
+def merge_space_saving(a, b, *, disjoint: bool = False) -> Tuple[List[Entry], int, int]:
+    """The merged state of two Space Saving summaries (either implementation).
+
+    Returns ``(kept, total, floor)``: the kept entries in ascending insertion
+    order, the combined stream total, and the merged absent-key floor (see
+    :meth:`repro.hh.space_saving.SpaceSaving.merge`).  Each implementation
+    rebuilds its own structure from the result.
+    """
+    if not hasattr(b, "_entries") or not hasattr(b, "_min_count"):
+        raise ConfigurationError(
+            f"cannot merge {type(a).__name__} with {type(b).__name__}; "
+            "merge requires another Space Saving summary"
+        )
+    check_same_capacity(a, b)
+    floor_a = max(a._min_count(), a._absent_floor)
+    floor_b = max(b._min_count(), b._absent_floor)
+    kept, truncated = merged_space_saving_entries(
+        a._entries(), a._min_count(), b._entries(), b._min_count(), a.capacity, disjoint=disjoint
+    )
+    floor = max(floor_a, floor_b) if disjoint else floor_a + floor_b
+    if truncated:
+        floor = max(floor, kept[-1][1])  # smallest kept count bounds the dropped
+    kept.reverse()  # canonical count-descending -> ascending insertion order
+    return kept, a.total + b.total, floor

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.merge import check_same_capacity, merged_space_saving_entries
+from repro.hh.merge import merge_space_saving
 
 
 class _Bucket:
@@ -364,27 +364,8 @@ class SpaceSaving(CounterAlgorithm):
         most that input's own absent bound) - summed across inputs in the
         general case, the per-shard maximum in the key-disjoint case.
         """
-        if not hasattr(other, "_entries") or not hasattr(other, "_min_count"):
-            raise ConfigurationError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}; "
-                "merge requires another Space Saving summary"
-            )
-        check_same_capacity(self, other)
-        floor_a = max(self._min_count(), self._absent_floor)
-        floor_b = max(other._min_count(), other._absent_floor)
-        kept, truncated = merged_space_saving_entries(
-            self._entries(),
-            self._min_count(),
-            other._entries(),
-            other._min_count(),
-            self._capacity,
-            disjoint=disjoint,
-        )
-        floor = max(floor_a, floor_b) if disjoint else floor_a + floor_b
-        if truncated:
-            floor = max(floor, kept[-1][1])  # smallest kept count bounds the dropped
-        kept.reverse()  # canonical count-descending -> ascending insertion order
-        self._rebuild(kept, self._total + other.total)
+        kept, total, floor = merge_space_saving(self, other, disjoint=disjoint)
+        self._rebuild(kept, total)
         self._absent_floor = floor
 
     # _tail is not named here: __setstate__'s _rebuild reconstructs the whole

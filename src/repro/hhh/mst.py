@@ -9,23 +9,23 @@ correction.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
-from repro.core.base import HHHAlgorithm, HHHOutput
+from repro.core.base import HHHOutput
 from repro.core.batch import (
     apply_lattice_batch,
     apply_lattice_batch_scalar,
+    check_weight,
     coerce_key_array,
     coerce_weights,
 )
-from repro.core.output import OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.factory import CounterLike, prepare_counter_factory
 from repro.hierarchy.base import Hierarchy
 
 
-class MST(HHHAlgorithm):
+class MST(LatticeHHH):
     """Deterministic lattice-of-Space-Saving HHH (update cost O(H) per packet).
 
     Args:
@@ -39,26 +39,12 @@ class MST(HHHAlgorithm):
     def __init__(
         self, hierarchy: Hierarchy, *, epsilon: float = 0.001, counter: CounterLike = "space_saving"
     ) -> None:
-        super().__init__(hierarchy)
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+        # MST touches every node on every packet, so the per-node versions
+        # move in lockstep - kept per node for the uniform Output contract.
+        super().__init__(hierarchy, counter, epsilon)
         self._epsilon = epsilon
-        counter_factory = prepare_counter_factory(counter, epsilon)
-        self._counters: List[CounterAlgorithm] = [
-            counter_factory() for _ in range(hierarchy.size)
-        ]
-        self._generalizers = hierarchy.compile_generalizers()
-        self._batch_generalizers = hierarchy.compile_batch_generalizers()
-        #: Per-lattice-node update counters driving the incremental query
-        #: engine; MST touches every node on every packet, so they move in
-        #: lockstep - kept per node for the uniform lattice_output contract.
-        self._versions: List[int] = [0] * hierarchy.size
-        self._output_cache: Optional[OutputCache] = OutputCache()
-
-    def _bump_versions(self) -> None:
-        versions = self._versions
-        for node in range(len(versions)):
-            versions[node] += 1
 
     @property
     def epsilon(self) -> float:
@@ -67,6 +53,7 @@ class MST(HHHAlgorithm):
 
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Update the counter summary of every lattice node (O(H) work)."""
+        check_weight(weight)
         self._total += weight
         counters = self._counters
         for node, generalize in enumerate(self._generalizers):
@@ -125,26 +112,22 @@ class MST(HHHAlgorithm):
             self._counters, self._generalizers, list(self._iter_batch_keys(keys)), weights_arr
         )
 
-    def output(self, theta: float) -> HHHOutput:
+    def query(
+        self,
+        theta: float,
+        counters: Sequence[CounterAlgorithm],
+        total: int,
+        versions: Optional[Sequence[int]],
+        cache: Optional[OutputCache],
+        lost: float = 0.0,
+    ) -> HHHOutput:
+        """The lattice Output unscaled, with no sampling correction."""
         theta = validate_theta(theta)
         return lattice_output(
-            self._hierarchy,
-            self._counters,
-            theta,
-            self._total,
-            correction=self.extra_correction,
-            versions=self._versions,
-            cache=self._output_cache,
+            self._hierarchy, counters, theta, total, correction=lost, versions=versions, cache=cache
         )
 
     def frequency_estimate(self, key: Hashable, node: int = 0) -> float:
         """Estimate the frequency of ``key`` masked to lattice node ``node``."""
         value = self._hierarchy.generalize(key, node)
         return self._counters[node].estimate(value)
-
-    def counters(self) -> int:
-        return sum(c.counters() for c in self._counters)
-
-    def node_counter(self, node: int) -> CounterAlgorithm:
-        """Return the counter summary of lattice node ``node``."""
-        return self._counters[node]

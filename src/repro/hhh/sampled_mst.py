@@ -12,27 +12,27 @@ that tail-latency difference (``benchmarks/bench_ablation_worst_case.py``).
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.bounds import coverage_correction
-from repro.core.base import HHHAlgorithm, HHHOutput
+from repro.core.base import HHHOutput
 from repro.core.batch import (
     apply_lattice_batch,
     apply_lattice_batch_scalar,
+    check_weight,
     coerce_key_array,
     coerce_weights,
 )
 from repro.core.determinism import resolve_seed
-from repro.core.output import OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.factory import CounterLike, prepare_counter_factory
 from repro.hierarchy.base import Hierarchy
 
 
-class SampledMST(HHHAlgorithm):
+class SampledMST(LatticeHHH):
     """Packet-sampled MST: amortized O(1), worst case Theta(H).
 
     Args:
@@ -58,7 +58,6 @@ class SampledMST(HHHAlgorithm):
         counter: CounterLike = "space_saving",
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__(hierarchy)
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
         if sampling_probability is None:
@@ -67,31 +66,16 @@ class SampledMST(HHHAlgorithm):
             raise ConfigurationError(
                 f"sampling_probability must be in (0, 1], got {sampling_probability}"
             )
+        super().__init__(hierarchy, counter, epsilon)
         self._epsilon = epsilon
         self._delta = delta
         self._p = sampling_probability
         self._rng = random.Random(resolve_seed(seed))
-        counter_factory = prepare_counter_factory(counter, epsilon)
-        self._counters: List[CounterAlgorithm] = [
-            counter_factory() for _ in range(hierarchy.size)
-        ]
-        self._generalizers = hierarchy.compile_generalizers()
-        self._batch_generalizers = hierarchy.compile_batch_generalizers()
         # The batch path pre-draws its coin flips with a numpy Generator: an
         # independent (but equally seeded, hence reproducible) RNG stream
         # from the per-packet random.Random used by update().
         self._batch_rng = np.random.default_rng(resolve_seed(seed))
         self._sampled = 0
-        #: Per-lattice-node update counters driving the incremental query
-        #: engine; a sampled packet runs the full MST update, touching every
-        #: node, so the counters move in lockstep.
-        self._versions: List[int] = [0] * hierarchy.size
-        self._output_cache: Optional[OutputCache] = OutputCache()
-
-    def _bump_versions(self) -> None:
-        versions = self._versions
-        for node in range(len(versions)):
-            versions[node] += 1
 
     @property
     def sampling_probability(self) -> float:
@@ -105,6 +89,7 @@ class SampledMST(HHHAlgorithm):
 
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Flip a coin; on success run the full O(H) MST update."""
+        check_weight(weight)
         self._total += weight
         if self._rng.random() >= self._p:
             return
@@ -200,26 +185,26 @@ class SampledMST(HHHAlgorithm):
             np.asarray(picked_weights, dtype=np.int64) if picked_weights is not None else None,
         )
 
-    def output(self, theta: float) -> HHHOutput:
+    def query(
+        self,
+        theta: float,
+        counters: Sequence[CounterAlgorithm],
+        total: int,
+        versions: Optional[Sequence[int]],
+        cache: Optional[OutputCache],
+        lost: float = 0.0,
+    ) -> HHHOutput:
+        """The lattice Output scaled by ``1/p``, plus the sampling correction."""
         theta = validate_theta(theta)
         scale = 1.0 / self._p
-        correction = (
-            coverage_correction(self._total, scale, self._delta) if self._total else 0.0
-        ) + self.extra_correction
+        correction = (coverage_correction(total, scale, self._delta) if total else 0.0) + lost
         return lattice_output(
             self._hierarchy,
-            self._counters,
+            counters,
             theta,
-            self._total,
+            total,
             scale=scale,
             correction=correction,
-            versions=self._versions,
-            cache=self._output_cache,
+            versions=versions,
+            cache=cache,
         )
-
-    def counters(self) -> int:
-        return sum(c.counters() for c in self._counters)
-
-    def node_counter(self, node: int) -> CounterAlgorithm:
-        """Return the counter summary of lattice node ``node``."""
-        return self._counters[node]

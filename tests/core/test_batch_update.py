@@ -12,10 +12,16 @@ plain per-packet ``update`` loop exactly.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.api.registry import build_algorithm
+from repro.api.specs import AlgorithmSpec
+from repro.core.checkpoint import snapshot_algorithm
 from repro.core.rhhh import RHHH
+from repro.core.shard import ShardedHHH
 from repro.exceptions import ConfigurationError
 from repro.hhh.ancestry import FullAncestry
 from repro.hhh.mst import MST
@@ -144,6 +150,43 @@ class TestRHHHBatchEquivalence:
             algorithm.update(key)
         assert algorithm.total == len(keys)
         assert algorithm.output(0.2).total == len(keys)
+
+
+def _weighted_engine(name, hierarchy):
+    if name == "sharded":
+        spec = AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=4)
+        return ShardedHHH(spec, "1d-bytes", shards=2, parallel=False)
+    return build_algorithm(AlgorithmSpec(name=name, epsilon=0.05, delta=0.1, seed=4), hierarchy)
+
+
+class TestWeightValidation:
+    """A weight below 1 is rejected before any RNG draw or state change."""
+
+    ENGINES = ["rhhh", "mst", "sampled_mst", "sharded"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", [-3, 0], ids=["negative", "zero"])
+    def test_bad_batch_weight_leaves_state_untouched(self, engine, bad, byte_hierarchy):
+        algorithm = _weighted_engine(engine, byte_hierarchy)
+        keys = np.random.default_rng(8).integers(0, 2**32, size=200, dtype=np.int64)
+        algorithm.update_batch(keys[:100])
+        before = pickle.dumps(snapshot_algorithm(algorithm))
+        weights = np.ones(100, dtype=np.int64)
+        weights[37] = bad
+        with pytest.raises(ConfigurationError, match="weights must be >= 1"):
+            algorithm.update_batch(keys[100:], weights)
+        assert pickle.dumps(snapshot_algorithm(algorithm)) == before
+        assert algorithm.total == 100
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bad_packet_weight_leaves_state_untouched(self, engine, byte_hierarchy):
+        algorithm = _weighted_engine(engine, byte_hierarchy)
+        algorithm.update(0x0A000001, 3)
+        before = pickle.dumps(snapshot_algorithm(algorithm))
+        with pytest.raises(ConfigurationError, match="weights must be >= 1"):
+            algorithm.update(0x0A000002, 0)
+        assert pickle.dumps(snapshot_algorithm(algorithm)) == before
+        assert algorithm.total == 3
 
 
 class TestSequentialFallback:

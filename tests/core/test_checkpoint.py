@@ -218,6 +218,18 @@ class TestSpaceSavingPickleOrder:
             assert clone.lower_bound(key) == counter.lower_bound(key)
 
 
+def _engine_state(engine):
+    """A sharded engine's snapshot with each shard's runtime state pickled.
+
+    Shards pickle one by one: a pool engine's states arrive unpickled from
+    its workers, so object sharing across shards - and with it the bytes of
+    one pickle of the whole snapshot - differs from a serial engine's.
+    """
+    snapshot = engine.snapshot_state()
+    shard_states = [pickle.dumps(state) for state in snapshot.pop("shard_states")]
+    return snapshot, shard_states
+
+
 class TestShardedEngineSnapshots:
     def test_serial_engine_snapshot_restore_parity(self):
         keys = _keys_1d(20_000)
@@ -231,6 +243,26 @@ class TestShardedEngineSnapshots:
             _feed(target, keys, 10_000, len(keys), 2_048)
         assert engine.total == restored.total == len(keys)
         assert _output_state(engine.output(0.1)) == _output_state(restored.output(0.1))
+
+    @pytest.mark.parametrize(
+        "first_parallel, then_parallel",
+        [(True, False), (False, True)],
+        ids=["pool-to-serial", "serial-to-pool"],
+    )
+    def test_snapshot_crosses_the_serial_pool_boundary(self, first_parallel, then_parallel):
+        # The split falls on a batch boundary: batches aggregate internally.
+        keys = _keys_1d(40_960)
+        spec = AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=13)
+        reference = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
+        _feed(reference, keys, 0, len(keys), 4_096)
+        with ShardedHHH(spec, "1d-bytes", 2, parallel=first_parallel) as first:
+            _feed(first, keys, 0, 20_480, 4_096)
+            snapshot = first.snapshot_state()
+        with ShardedHHH(spec, "1d-bytes", 2, parallel=then_parallel) as resumed:
+            resumed.restore_state(snapshot)
+            _feed(resumed, keys, 20_480, len(keys), 4_096)
+            assert _engine_state(resumed) == _engine_state(reference)
+            assert _output_state(resumed.output(0.1)) == _output_state(reference.output(0.1))
 
     def test_restore_rejects_shard_count_mismatch(self):
         spec = AlgorithmSpec(name="rhhh", epsilon=0.05, seed=13)

@@ -1,4 +1,4 @@
-"""Unit tests for the counter-argument helpers in :mod:`repro.hh.factory`."""
+"""Unit tests for :func:`repro.core.output.prepare_counter_factory`."""
 
 from __future__ import annotations
 
@@ -6,20 +6,20 @@ import pytest
 
 from repro.api.registry import counter_names
 from repro.api.specs import CounterSpec
+from repro.core.output import prepare_counter_factory
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.factory import prepare_counter_factory, resolve_counter
 
 
 class TestFactory:
     @pytest.mark.parametrize("name", counter_names())
     def test_every_registered_counter_instantiates(self, name):
-        counter = resolve_counter(name, epsilon=0.01)
+        counter = prepare_counter_factory(name, 0.01)()
         assert isinstance(counter, CounterAlgorithm)
 
     @pytest.mark.parametrize("name", counter_names())
     def test_every_counter_counts(self, name):
-        counter = resolve_counter(name, epsilon=0.01)
+        counter = prepare_counter_factory(name, 0.01)()
         for _ in range(50):
             counter.update("hot")
         assert counter.estimate("hot") > 0
@@ -27,15 +27,17 @@ class TestFactory:
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
-            resolve_counter("no-such-algorithm", epsilon=0.01)
+            prepare_counter_factory("no-such-algorithm", 0.01)()
 
     def test_registry_contains_space_saving(self):
         assert "space_saving" in counter_names()
 
     def test_spec_and_callable_forms(self):
-        built = resolve_counter(CounterSpec(name="misra_gries"), epsilon=0.01)
+        built = prepare_counter_factory(CounterSpec(name="misra_gries"), 0.01)()
         assert type(built).__name__ == "MisraGries"
-        called = resolve_counter(lambda eps: resolve_counter("space_saving", eps), 0.01)
+        called = prepare_counter_factory(
+            lambda eps: prepare_counter_factory("space_saving", eps)(), 0.01
+        )()
         assert type(called).__name__ == "SpaceSaving"
 
     def test_prepared_factory_builds_independent_counters(self):
