@@ -40,6 +40,7 @@ from repro.api.registry import (
 )
 from repro.api.session import Session, SessionResult, run_experiment
 from repro.api.specs import (
+    DEFAULT_COUNTER,
     DEFAULT_MIN_EPSILON,
     AlgorithmSpec,
     CounterSpec,
@@ -53,6 +54,7 @@ __all__ = [
     "CounterSpec",
     "DistribSpec",
     "ExperimentSpec",
+    "DEFAULT_COUNTER",
     "DEFAULT_MIN_EPSILON",
     # registries
     "register_algorithm",

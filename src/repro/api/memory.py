@@ -47,15 +47,14 @@ SKETCH_CELL_BYTES = 8
 
 #: Backends the automatic chooser considers, in preference order.
 AUTO_CANDIDATES: Tuple[str, ...] = (
-    "space_saving",
     "array_space_saving",
+    "space_saving",
     "count_min",
     "count_sketch",
 )
 
-#: Sketch backends the churn-aware chooser prefers under eviction storms,
-#: cheapest-table first.
-_STORM_CANDIDATES: Tuple[str, ...] = ("count_min", "count_sketch")
+#: Backends that keep a tracked-keys set, the one bounded by ``track``.
+TRACKING_BACKENDS: Tuple[str, ...] = ("count_min", "conservative_count_min", "count_sketch")
 
 
 def _tracked_keys(epsilon: float, track: Optional[int]) -> int:
@@ -125,23 +124,15 @@ def choose_counter_backend(
     epsilon: float,
     delta: float = 0.01,
     track: Optional[int] = None,
-    working_set: Optional[int] = None,
     candidates: Sequence[str] = AUTO_CANDIDATES,
 ) -> str:
     """Pick the counter backend that meets ``epsilon`` within ``memory_bytes``.
 
     Space Saving is preferred whenever it fits (it is the paper's counter and
-    its guarantees are deterministic); the array-backed variant - same
-    guarantees, compacter storage - is next when only it fits; otherwise the
-    fitting candidate with the smallest estimated footprint wins.
-
-    ``working_set`` makes the choice churn-aware: when the stream is expected
-    to touch more distinct keys than the Space Saving capacity the budget
-    affords (``ceil(1/epsilon)`` counters, or an explicit spec capacity),
-    every miss on the full table forces per-event eviction work - the
-    eviction-storm regime where the scalar floor lives.  The sketches have no
-    eviction order to preserve and keep the batch path fully vectorized, so a
-    fitting sketch is preferred there, cheapest table first.
+    its guarantees are deterministic): the array-backed structure first -
+    compacter storage and the faster batch path, on hit-dominated streams and
+    eviction storms alike - then the linked one; otherwise the fitting
+    candidate with the smallest estimated footprint wins.
 
     Raises:
         ConfigurationError: when no candidate fits - the message names the
@@ -150,8 +141,6 @@ def choose_counter_backend(
     """
     if memory_bytes < 1:
         raise ConfigurationError(f"memory_bytes must be >= 1, got {memory_bytes}")
-    if working_set is not None and working_set < 1:
-        raise ConfigurationError(f"working_set must be >= 1, got {working_set}")
     estimates: Dict[str, int] = {
         name: estimate_counter_memory(name, epsilon=epsilon, delta=delta, track=track)
         for name in candidates
@@ -164,11 +153,7 @@ def choose_counter_backend(
             f"the cheapest ({cheapest_name}) needs {cheapest_size} bytes - raise the "
             f"budget or relax epsilon"
         )
-    if working_set is not None and working_set > int(math.ceil(1.0 / epsilon)):
-        for preferred in _STORM_CANDIDATES:
-            if preferred in fitting:
-                return preferred
-    for preferred in ("space_saving", "array_space_saving"):
+    for preferred in ("array_space_saving", "space_saving"):
         if preferred in fitting:
             return preferred
     return min(fitting.items(), key=lambda item: item[1])[0]

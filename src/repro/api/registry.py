@@ -30,7 +30,7 @@ from repro.core.base import HHHAlgorithm
 from repro.core.rhhh import RHHH
 from repro.exceptions import ConfigurationError
 from repro.hh.array_space_saving import ArraySpaceSaving
-from repro.hh.base import CounterAlgorithm
+from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hh.conservative_update import ConservativeCountMin
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
@@ -151,14 +151,23 @@ def build_counter(
     """
     if isinstance(spec, str):
         spec = CounterSpec(name=spec)
-    resolved = spec.resolve(default_epsilon=epsilon)
+    return resolved_counter_factory(spec.resolve(default_epsilon=epsilon))()
+
+
+def resolved_counter_factory(resolved: CounterSpec) -> Callable[[], CounterAlgorithm]:
+    """Return a zero-argument factory building the backend of a resolved spec.
+
+    The backend factory and its keyword arguments are looked up once, so a
+    lattice algorithm building one counter per node pays for the lookup (and
+    for the spec resolution before it) once, not once per node.
+    """
     factory = _lookup(_COUNTERS, "counter", resolved.name)
     kwargs: Dict[str, Any] = dict(resolved.options)
     for field_name in ("epsilon", "delta", "capacity", "width", "depth", "track", "seed"):
         value = getattr(resolved, field_name)
         if value is not None:
             kwargs[field_name] = value
-    return _call_factory("counter", resolved.name, factory, **kwargs)
+    return lambda: _call_factory("counter", resolved.name, factory, **kwargs)
 
 
 def build_algorithm(
@@ -309,7 +318,7 @@ def _build_rhhh(
         delta=delta,
         v=v,
         seed=seed,
-        counter=counter if counter is not None else "space_saving",
+        counter=counter if counter is not None else DEFAULT_COUNTER,
         updates_per_packet=updates_per_packet,
     )
 
@@ -331,7 +340,7 @@ def _build_10_rhhh(
         delta=delta,
         v=v if v is not None else 10 * hierarchy.size,
         seed=seed,
-        counter=counter if counter is not None else "space_saving",
+        counter=counter if counter is not None else DEFAULT_COUNTER,
         updates_per_packet=updates_per_packet,
     )
 
@@ -346,7 +355,7 @@ def _build_mst(
     counter: Optional[CounterSpec] = None,
 ) -> HHHAlgorithm:
     del delta, seed  # deterministic: accepted for line-up parity, unused
-    return MST(hierarchy, epsilon=epsilon, counter=counter if counter is not None else "space_saving")
+    return MST(hierarchy, epsilon=epsilon, counter=counter if counter is not None else DEFAULT_COUNTER)
 
 
 @register_algorithm("sampled_mst")
@@ -364,7 +373,7 @@ def _build_sampled_mst(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        counter=counter if counter is not None else "space_saving",
+        counter=counter if counter is not None else DEFAULT_COUNTER,
         sampling_probability=sampling_probability,
     )
 

@@ -26,11 +26,13 @@ subsumes the bespoke driver loops that used to live in ``eval/runner.py``,
 
 Example::
 
-    from repro.api import AlgorithmSpec, CounterSpec, ExperimentSpec, Session
+    from repro.api import (
+        DEFAULT_COUNTER, AlgorithmSpec, CounterSpec, ExperimentSpec, Session,
+    )
 
     spec = ExperimentSpec(
         algorithm=AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=7,
-                                counter=CounterSpec(name="space_saving")),
+                                counter=CounterSpec(name=DEFAULT_COUNTER)),
         hierarchy="2d-bytes", workload="chicago16",
         packets=200_000, theta=0.1, batch_size=65_536,
     )

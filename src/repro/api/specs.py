@@ -18,8 +18,9 @@ import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
-from repro.api.memory import choose_counter_backend
+from repro.api.memory import TRACKING_BACKENDS, choose_counter_backend
 from repro.exceptions import ConfigurationError, ConfigurationWarning
+from repro.hh.base import DEFAULT_COUNTER
 
 S = TypeVar("S", bound="_SpecBase")
 
@@ -122,16 +123,11 @@ class CounterSpec(_SpecBase):
         auto: pick the backend automatically from ``memory_bytes`` (the
             ROADMAP's multi-backend-by-deployment-size selection).
         memory_bytes: memory budget driving the automatic choice.
-        working_set: estimated number of distinct keys the stream touches per
-            node (churn hint for the automatic choice): when it exceeds the
-            Space Saving capacity the budget affords, every miss forces a
-            per-event eviction, so the chooser prefers a fitting sketch -
-            the batch-native backend with no eviction order to preserve.
         options: extra keyword arguments forwarded verbatim to the backend
             factory (the extension point for third-party backends).
     """
 
-    name: str = "space_saving"
+    name: str = DEFAULT_COUNTER
     epsilon: Optional[float] = None
     delta: Optional[float] = None
     capacity: Optional[int] = None
@@ -142,7 +138,6 @@ class CounterSpec(_SpecBase):
     min_epsilon: Optional[float] = None
     auto: bool = False
     memory_bytes: Optional[int] = None
-    working_set: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -150,7 +145,7 @@ class CounterSpec(_SpecBase):
             raise ConfigurationError(f"counter name must be a non-empty string, got {self.name!r}")
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("delta", self.delta)
-        for int_field in ("capacity", "width", "depth", "track", "memory_bytes", "working_set"):
+        for int_field in ("capacity", "width", "depth", "track", "memory_bytes"):
             _check_positive_int(int_field, getattr(self, int_field))
         if self.min_epsilon is not None and not 0.0 <= self.min_epsilon < 1.0:
             raise ConfigurationError(f"min_epsilon must be in [0, 1), got {self.min_epsilon}")
@@ -176,14 +171,18 @@ class CounterSpec(_SpecBase):
                 "pass epsilon on the spec or build it through an algorithm"
             )
         name = self.name
+        track = self.track
         if self.auto:
             name = choose_counter_backend(
                 self.memory_bytes,  # type: ignore[arg-type]  # validated in __post_init__
                 epsilon=epsilon if epsilon is not None else 0.01,
                 delta=self.delta if self.delta is not None else 0.01,
-                track=self.track,
-                working_set=self.working_set,
+                track=track,
             )
+            if name not in TRACKING_BACKENDS:
+                # ``track`` priced the sketches for the choice; a Space
+                # Saving table has no tracked set to bound.
+                track = None
         if epsilon is not None:
             floor = self.min_epsilon if self.min_epsilon is not None else DEFAULT_MIN_EPSILON.get(name, 0.0)
             if epsilon < floor:
@@ -194,7 +193,7 @@ class CounterSpec(_SpecBase):
                     stacklevel=2,
                 )
                 epsilon = floor
-        return dataclasses.replace(self, name=name, epsilon=epsilon, auto=False)
+        return dataclasses.replace(self, name=name, epsilon=epsilon, track=track, auto=False)
 
     def build(self, default_epsilon: Optional[float] = None) -> Any:
         """Instantiate the backend (delegates to :func:`repro.api.registry.build_counter`)."""
@@ -218,7 +217,7 @@ class AlgorithmSpec(_SpecBase):
             against the hierarchy at build time (mutually exclusive with ``v``).
         updates_per_packet: the ``r`` of the paper's Corollary 6.8.
         counter: per-node counter backend; ``None`` keeps the algorithm's
-            default (Space Saving).
+            default (:data:`DEFAULT_COUNTER`, the array Space Saving summary).
         options: extra keyword arguments forwarded to the algorithm factory.
     """
 

@@ -282,8 +282,8 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=counter_names(),
         help="per-node counter backend (default: the algorithm's own, "
-        "Space Saving; use array_space_saving for the vectorized batch "
-        "backend)",
+        "array_space_saving; use space_saving for the paper's O(1) "
+        "per-packet structure)",
     )
     parser.add_argument(
         "--shards",

@@ -18,6 +18,7 @@ from typing import Optional
 from repro.analysis.bounds import coverage_correction, oversample_adjusted_counters, psi
 from repro.exceptions import ConfigurationError
 from repro.core.output import CounterLike
+from repro.hh.base import DEFAULT_COUNTER
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class RHHHConfig:
     epsilon_s: Optional[float] = None
     delta_a: Optional[float] = None
     delta_s: Optional[float] = None
-    counter: CounterLike = "space_saving"
+    counter: CounterLike = DEFAULT_COUNTER
     seed: Optional[int] = None
     # Derived fields (filled in __post_init__).
     effective_v: int = field(init=False, default=0)

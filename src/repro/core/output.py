@@ -610,12 +610,11 @@ def prepare_counter_factory(counter: CounterLike, epsilon: float) -> Callable[[]
         return lambda: counter(epsilon)
     # Late import: repro.api.registry imports the algorithm modules, which
     # import this module - the cycle only resolves at call time.
-    from repro.api.registry import build_counter
+    from repro.api.registry import resolved_counter_factory
     from repro.api.specs import CounterSpec
 
     spec = CounterSpec(name=counter) if isinstance(counter, str) else counter
-    resolved = spec.resolve(default_epsilon=epsilon)
-    return lambda: build_counter(resolved)
+    return resolved_counter_factory(spec.resolve(default_epsilon=epsilon))
 
 
 class LatticeHHH(HHHAlgorithm):

@@ -39,7 +39,7 @@ from repro.core.batch import (
 from repro.core.config import RHHHConfig
 from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
-from repro.hh.base import CounterAlgorithm
+from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
 
 
@@ -72,7 +72,7 @@ class RHHH(LatticeHHH):
         epsilon: float = 0.001,
         delta: float = 0.001,
         v: Optional[int] = None,
-        counter: CounterLike = "space_saving",
+        counter: CounterLike = DEFAULT_COUNTER,
         seed: Optional[int] = None,
         updates_per_packet: int = 1,
     ) -> None:

@@ -78,20 +78,11 @@ def per_shard_algorithm_spec(spec: AlgorithmSpec, seed: Optional[int], shards: i
 
     A memory-budgeted auto counter (``CounterSpec(auto=True, memory_bytes=B)``)
     describes the *deployment's* budget; ``N`` shards each get ``B // N`` so
-    the sharded run stays inside the same envelope.  The churn hint divides
-    the same way: hash partitioning spreads the distinct keys evenly, so one
-    shard sees roughly ``working_set // N`` of them.
+    the sharded run stays inside the same envelope.
     """
     counter = spec.counter
     if counter is not None and counter.auto and counter.memory_bytes is not None:
-        working_set = counter.working_set
-        if working_set is not None:
-            working_set = max(1, working_set // shards)
-        counter = dataclasses.replace(
-            counter,
-            memory_bytes=max(1, counter.memory_bytes // shards),
-            working_set=working_set,
-        )
+        counter = dataclasses.replace(counter, memory_bytes=max(1, counter.memory_bytes // shards))
     return dataclasses.replace(spec, seed=seed, counter=counter)
 
 

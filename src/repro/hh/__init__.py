@@ -21,7 +21,7 @@ All algorithms share the :class:`~repro.hh.base.FrequencyEstimator` interface:
 """
 
 from repro.hh.array_space_saving import ArraySpaceSaving
-from repro.hh.base import FrequencyEstimator, HeavyHitter, CounterAlgorithm
+from repro.hh.base import DEFAULT_COUNTER, FrequencyEstimator, HeavyHitter, CounterAlgorithm
 from repro.hh.exact_counter import ExactCounter
 from repro.hh.space_saving import SpaceSaving
 from repro.hh.misra_gries import MisraGries
@@ -31,6 +31,7 @@ from repro.hh.count_sketch import CountSketch
 from repro.hh.conservative_update import ConservativeCountMin
 
 __all__ = [
+    "DEFAULT_COUNTER",
     "FrequencyEstimator",
     "HeavyHitter",
     "CounterAlgorithm",

@@ -11,34 +11,41 @@ walk per key:
 * **hits** (keys already monitored) are incremented with one fancy-indexed
   add per batch;
 * **free-slot inserts** are written with one sliced assignment;
-* **evictions** seed a lazily invalidated min-heap from the
-  ``argpartition``-selected smallest slots and replay only the miss set (plus
-  the few monitored keys cheap enough to be eviction candidates) through it.
+* **evictions** run in sorted waves that each apply a provably exact prefix
+  of the misses with bulk scatters; a stalled wave tail is replayed through a
+  lazily invalidated min-heap seeded from the ``argpartition``-selected
+  smallest slots.
 
 Equivalence contract
 --------------------
 
-For a pre-aggregated batch (distinct keys), ``update_batch`` leaves the
-summary in exactly the state the linked-bucket implementation reaches on the
-same pairs in the same order: same monitored set, same counts, same errors,
-same total.  The one subtle part is the eviction tie-break.  The linked
-structure evicts the key that entered the minimum-count bucket *earliest*;
-this implementation reproduces that order with a ``stamps`` array holding the
-logical time at which each slot last changed its count - the victim is the
-lexicographic minimum of ``(count, stamp)``.  The equivalence suite in
-``tests/hh/test_array_space_saving.py`` checks this property-style against
-the linked implementation.
+A batch is applied in the Space Saving batch order of
+:func:`repro.hh.space_saving.hits_first`: the pairs whose key is monitored
+when the batch starts, then the remaining pairs, each group in its given
+order.  ``update_batch`` leaves the summary in exactly the state the scalar
+twin :meth:`ArraySpaceSaving.update_batch_reference` reaches - that order fed
+through :meth:`ArraySpaceSaving.update` - and the state the linked-bucket
+implementation reaches on the same batch: same monitored set, same counts,
+same errors, same total.  The one subtle part is the eviction tie-break.  The
+linked structure evicts the key that entered the minimum-count bucket
+*earliest*; this implementation reproduces that order with a ``stamps``
+array holding the logical time at which each slot last changed its count -
+the victim is the lexicographic minimum of ``(count, stamp)``.  The
+equivalence suite in ``tests/hh/test_array_space_saving.py`` checks this
+property-style against the linked implementation.
 
 Two deliberate differences from the linked implementation, both outside the
 aggregated-batch contract: ``update_batch`` validates all weights up front
-(the linked version raises mid-batch, leaving the valid prefix applied), and
-a batch with duplicate keys - which the batch engine never produces - is
-replayed through scalar ``update`` calls rather than the bulk paths.
+(the linked version applies the pairs read before a bad weight, then
+raises), and a batch with duplicate keys - which the batch engine never
+produces - is replayed through scalar ``update`` calls rather than the bulk
+paths.
 
 Complexity: a batch of ``b`` pairs costs O(b) dict lookups plus O(b) bulk
-array work; the eviction replay adds O(log m) heap work per evicted key
+array work per wave; the heap replay adds O(log m) heap work per evicted key
 (``m`` = candidate pool size).  Scalar ``update`` is O(log m) amortized
-against the same heap (rebuilt lazily after bulk operations).
+against the same heap (rebuilt lazily after bulk operations), not the O(1)
+of the linked stream summary.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 from repro.hh.merge import merge_space_saving
+from repro.hh.space_saving import hits_first
 
 #: Below this wave length the sorted-wave eviction keeps re-sorting the table
-#: for almost no progress; the replay drops to the heap path instead.
+#: for almost no progress; the rest of the misses go through the heap replay.
 _WAVE_MIN = 8
 
 
@@ -84,7 +92,8 @@ class ArraySpaceSaving(CounterAlgorithm):
         # Logical time of each slot's last count change; the eviction victim
         # is the minimum (count, stamp), matching the linked-bucket FIFO.
         self._stamps = np.zeros(capacity, dtype=np.int64)
-        self._keys: List[Optional[Hashable]] = [None] * capacity
+        # The key of each used slot; grows with ``_size`` up to the capacity.
+        self._keys: List[Hashable] = []
         self._slot: Dict[Hashable, int] = {}
         self._size = 0
         self._clock = 0
@@ -133,7 +142,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         if self._size < self._capacity:
             slot = self._size
             self._size += 1
-            self._keys[slot] = key
+            self._keys.append(key)
             self._slot[key] = slot
             self._counts[slot] = weight
             self._errors[slot] = 0
@@ -163,13 +172,14 @@ class ArraySpaceSaving(CounterAlgorithm):
     # ------------------------------------------------------------------ #
 
     def update_batch(self, items) -> None:
-        """Apply pre-aggregated ``(key, weight)`` pairs with bulk array operations.
+        """Apply ``(key, weight)`` pairs in the Space Saving batch order.
 
-        The pairs are expected distinct-keyed and are applied in the order
-        given (the batch engine emits ascending key order); the resulting
-        summary is exactly what the same pairs fed one by one through
-        :meth:`update` produce.  Weights are validated before anything is
-        applied, so an invalid batch leaves the summary untouched.
+        Hits (keys monitored when the batch starts) go first, then the
+        remaining pairs, each group in its given order
+        (:func:`~repro.hh.space_saving.hits_first`); the resulting summary is
+        exactly what :meth:`update_batch_reference` produces.  Weights are
+        validated before anything is applied, so an invalid batch leaves the
+        summary untouched.
         """
         pairs = items if isinstance(items, list) else list(items)
         n = len(pairs)
@@ -182,27 +192,27 @@ class ArraySpaceSaving(CounterAlgorithm):
                 raise ValueError("weight must be positive")
             # Not pre-aggregated: duplicate keys interact through the table
             # state, so replay sequentially instead of the bulk paths.
-            for key, weight in pairs:
-                self.update(key, int(weight))
+            self.update_batch_reference(pairs)
             return
         self._apply_aggregated(keys_in, weights)
 
     def update_batch_reference(self, items) -> None:
-        """Scalar twin of :meth:`update_batch`: the same pairs, one at a time.
+        """Scalar twin of :meth:`update_batch`: the same pairs, hits first, one at a time.
 
         The bulk array path is pinned against this loop: after either method
         the summary state must be bit-identical.
         """
-        for key, weight in items:
+        for key, weight in hits_first(items, self._slot):
             self.update(key, int(weight))
 
     def update_aggregated(self, keys: List[Hashable], weights: np.ndarray) -> None:
         """Batch-engine fast path: aggregation output applied verbatim.
 
-        ``keys`` is a list of distinct keys in application order and
-        ``weights`` the matching positive totals; this is exactly what
+        ``keys`` is a list of distinct keys and ``weights`` the matching
+        positive totals; this is exactly what
         :func:`repro.core.batch.aggregated_arrays` emits, saved from being
-        zipped into pairs and re-materialized here.
+        zipped into pairs and re-materialized here.  Applied in the same
+        hits-first order as :meth:`update_batch`.
         """
         if len(keys) == 0:
             return
@@ -216,144 +226,53 @@ class ArraySpaceSaving(CounterAlgorithm):
         if int(weights.min()) <= 0:
             raise ValueError("weight must be positive")
         self._total += int(weights.sum())
-        base = self._clock
-        self._clock += n
-        slot_of = self._slot
+        self._heap = None
+        clock = self._clock
+        self._clock = clock + n
         # map() drives dict.get at C speed; misses come back as -1.
         slots = np.fromiter(
-            map(slot_of.get, keys_in, itertools.repeat(-1)), dtype=np.int64, count=n
+            map(self._slot.get, keys_in, itertools.repeat(-1)), dtype=np.int64, count=n
         )
-        miss_mask = slots < 0
-        miss_count = int(miss_mask.sum())
-        counts = self._counts
-        stamps = self._stamps
-        batch_stamps = base + 1 + np.arange(n, dtype=np.int64)
-        if miss_count == 0:
-            # Pure hits: distinct keys means distinct slots, so a plain
-            # fancy-indexed add is exact.
-            counts[slots] += weights
-            stamps[slots] = batch_stamps
-            self._heap = None
+        hit_mask = slots >= 0
+        hit_slots = slots[hit_mask]
+        hits = hit_slots.size
+        # Hits first, in batch order: distinct keys means distinct slots, so
+        # one fancy-indexed add is exact, and no eviction can come between.
+        self._counts[hit_slots] += weights[hit_mask]
+        self._stamps[hit_slots] = np.arange(clock + 1, clock + 1 + hits, dtype=np.int64)
+        if hits == n:
             return
-        free = self._capacity - self._size
-        if miss_count <= free:
-            # Hits plus free-slot inserts: no evictions, so hit/miss
-            # classification is static and application order is irrelevant
-            # (stamps still record the in-batch positions).
-            hit_mask = ~miss_mask
-            if miss_count < n:
-                hit_slots = slots[hit_mask]
-                counts[hit_slots] += weights[hit_mask]
-                stamps[hit_slots] = batch_stamps[hit_mask]
-            new_slots = self._size + np.arange(miss_count)
-            counts[new_slots] = weights[miss_mask]
-            self._errors[new_slots] = 0
-            stamps[new_slots] = batch_stamps[miss_mask]
-            keys_list = self._keys
-            slot = self._size
-            for pos in np.flatnonzero(miss_mask).tolist():
-                key = keys_in[pos]
-                keys_list[slot] = key
-                slot_of[key] = slot
-                slot += 1
-            self._size = slot
-            self._heap = None
-            return
-        self._update_batch_evicting(keys_in, weights, slots, miss_mask, batch_stamps, free)
+        miss_mask = ~hit_mask
+        self._insert_misses(
+            list(itertools.compress(keys_in, miss_mask.tolist())),
+            weights[miss_mask],
+            np.arange(clock + 1 + hits, clock + 1 + n, dtype=np.int64),
+        )
 
-    def _update_batch_evicting(
-        self,
-        keys_in: List[Hashable],
-        weights: np.ndarray,
-        slots: np.ndarray,
-        miss_mask: np.ndarray,
-        batch_stamps: np.ndarray,
-        free: int,
-    ) -> None:
-        """Batch tail with evictions: bulk-apply what is provably order-free,
-        replay the rest in sorted eviction waves (heap fallback).
+    def _insert_misses(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> None:
+        """Insert distinct unmonitored keys in order: free slots, then evictions.
 
-        Sequential Space Saving interleaves hits and evictions: an eviction
-        can remove a key a later pair would have hit, and a hit can change
-        which slot is the minimum.  Two facts bound the interaction:
-
-        * no victim can reach count ``X`` unless every slot crosses ``X``
-          first, which costs at least ``sum(max(0, X - count_s))`` of added
-          weight - so the smallest ``X`` whose deficit exceeds the batch's
-          total weight strictly bounds every victim, and hits at or above it
-          can neither be evicted nor influence a victim choice: they are
-          safe to bulk-apply out of order;
-        * with ``e`` evictions and ``r`` at-risk hits left, every victim lies
-          in the ``e + r`` lexicographically smallest ``(count, stamp)``
-          slots - which bounds the candidate pool the replay has to track.
-
-        What remains - the misses plus the few at-risk hits - is replayed in
-        batch order by :meth:`_replay_mixed`.
+        Eviction runs in sorted waves (:meth:`_evict_wave_run`); a wave tail
+        that stalls is finished by the heap replay.
         """
-        counts = self._counts
-        errors = self._errors
-        stamps = self._stamps
-        keys_list = self._keys
-        slot_of = self._slot
-        miss_positions = np.flatnonzero(miss_mask)
-        # Fill the free slots with the first `free` misses: no eviction has
-        # happened yet, so these inserts commute with every pending hit.
+        size = self._size
+        free = min(self._capacity - size, len(keys))
         if free:
-            fill = miss_positions[:free]
-            new_slots = self._size + np.arange(free)
-            counts[new_slots] = weights[fill]
-            errors[new_slots] = 0
-            stamps[new_slots] = batch_stamps[fill]
-            slot = self._size
-            for pos in fill.tolist():
-                key = keys_in[pos]
-                keys_list[slot] = key
-                slot_of[key] = slot
-                slot += 1
-            self._size = slot
-            miss_positions = miss_positions[free:]
-        # Risk split: bulk-apply hits that cannot take part in any eviction.
-        # With the table sorted ascending, raising the j smallest slots past
-        # X costs j*X - prefix_sum(j); every victim therefore stays strictly
-        # below the smallest X whose cost exceeds the batch weight W, and
-        # min_j floor((W + prefix_sum(j)) / j) + 1 bounds that X from above
-        # for every segment at once (a too-large X only over-counts the
-        # deficit, so each candidate is individually valid).
-        sorted_counts = np.sort(counts)
-        prefix = np.cumsum(sorted_counts)
-        batch_weight = int(weights.sum())
-        bound = int(np.min((batch_weight + prefix) // np.arange(1, prefix.size + 1))) + 1
-        hit_positions = np.flatnonzero(~miss_mask)
-        at_risk = counts[slots[hit_positions]] < bound
-        safe_positions = hit_positions[~at_risk]
-        if safe_positions.size:
-            safe_slots = slots[safe_positions]
-            counts[safe_slots] += weights[safe_positions]
-            stamps[safe_slots] = batch_stamps[safe_positions]
-        risky_positions = hit_positions[at_risk]
-        if risky_positions.size:
-            # At-risk hits genuinely interleave with the eviction sequence;
-            # replay everything after them exactly, in one heap pass.
-            mixed = np.sort(np.concatenate([miss_positions, risky_positions]))
-            self._evict_heap_replay(keys_in, weights, batch_stamps, mixed.tolist())
-        else:
-            # Pure miss storm (e.g. a cold table, or a batch whose hits are
-            # all on safely-large keys): sorted waves apply it in bulk.
-            leftover = self._evict_wave_run(
-                keys_in, weights, batch_stamps, miss_positions.tolist()
-            )
-            if leftover:
-                self._evict_heap_replay(keys_in, weights, batch_stamps, leftover)
-        self._heap = None
+            end = size + free
+            self._counts[size:end] = weights[:free]
+            self._errors[size:end] = 0
+            self._stamps[size:end] = stamps[:free]
+            self._keys[size:end] = keys[:free]
+            self._slot.update(zip(keys[:free], range(size, end)))
+            self._size = end
+        if free == len(keys):
+            return
+        start = free + self._evict_wave_run(keys[free:], weights[free:], stamps[free:])
+        if start < len(keys):
+            self._evict_heap_replay(keys[start:], weights[start:], stamps[start:])
 
-    def _evict_wave_run(
-        self,
-        keys_in: List[Hashable],
-        weights: np.ndarray,
-        batch_stamps: np.ndarray,
-        run: List[int],
-    ) -> List[int]:
-        """Evict a run of distinct misses in sorted waves; return any stalled tail.
+    def _evict_wave_run(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> int:
+        """Evict a run of distinct misses in sorted waves; return how many were applied.
 
         One wave sorts the slots by ``(count, stamp)`` - the exact victim
         order - and proves a prefix of the run evicts those slots verbatim:
@@ -364,87 +283,62 @@ class ArraySpaceSaving(CounterAlgorithm):
         tie-breaks irrelevant.  The whole prefix is then applied with bulk
         scatters, two dict writes per eviction.  On flat tail regions - the
         steady state of a Zipf stream under eviction pressure - one wave
-        covers the whole table; when waves stop making progress the caller
-        falls back to the heap replay.
+        covers the whole table; once a wave is shorter than ``_WAVE_MIN`` the
+        run stops and the caller replays the rest through the heap.
         """
         counts = self._counts
         errors = self._errors
-        stamps = self._stamps
+        table_stamps = self._stamps
         keys_list = self._keys
         slot_of = self._slot
-        run_arr = np.asarray(run, dtype=np.int64)
-        w_run = weights[run_arr]
-        t_run = batch_stamps[run_arr]
         start = 0
-        total = run_arr.size
+        total = len(keys)
         while start < total:
-            order = np.lexsort((stamps, counts))
+            order = np.lexsort((table_stamps, counts))
             m = min(total - start, order.size)
             pool = order[:m]
             pool_counts = counts[pool]
-            inserted = pool_counts + w_run[start : start + m]
+            inserted = pool_counts + weights[start : start + m]
             if m > 1:
                 chain = np.minimum.accumulate(inserted[:-1]) > pool_counts[1:]
                 wave = m if bool(chain.all()) else int(np.argmin(chain)) + 1
             else:
                 wave = 1
             victims = pool[:wave]
-            positions = run_arr[start : start + wave]
             errors[victims] = pool_counts[:wave]
             counts[victims] = inserted[:wave]
-            stamps[victims] = t_run[start : start + wave]
-            for slot, pos in zip(victims.tolist(), positions.tolist()):
+            table_stamps[victims] = stamps[start : start + wave]
+            for slot, key in zip(victims.tolist(), keys[start : start + wave]):
                 del slot_of[keys_list[slot]]
-                key = keys_in[pos]
                 keys_list[slot] = key
                 slot_of[key] = slot
             start += wave
-            if wave < _WAVE_MIN and start < total:
-                return run[start:]
-        return []
+            if wave < _WAVE_MIN:
+                break
+        return start
 
-    def _evict_heap_replay(
-        self,
-        keys_in: List[Hashable],
-        weights: np.ndarray,
-        batch_stamps: np.ndarray,
-        mixed: List[int],
-    ) -> None:
-        """Exact interleaved replay of misses and at-risk hits through a heap.
+    def _evict_heap_replay(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> None:
+        """Exact one-by-one eviction of distinct misses through a heap.
 
-        Seeds a min-heap with the ``len(mixed)`` lexicographically smallest
-        ``(count, stamp)`` slots (an upper bound on the remaining evictions
-        plus at-risk hits, which is all the victim-containment argument
-        needs) and walks the positions in batch order on plain Python state -
-        numpy scalar indexing in a tight loop costs more than the dict/heap
-        work it would replace.  Stale heap entries are skipped by stamp
-        comparison ("lazy re-sorting") instead of re-ordering on every write.
+        Seeds a min-heap with the ``len(keys)`` lexicographically smallest
+        ``(count, stamp)`` slots - every victim that is not a slot written by
+        this replay lies among them - and walks the misses in order on plain
+        Python state: numpy scalar indexing in a tight loop costs more than
+        the dict/heap work it would replace.  Stale heap entries are skipped
+        by stamp comparison ("lazy re-sorting") instead of re-ordering on
+        every write.
         """
         keys_list = self._keys
         slot_of = self._slot
-        pool = self._smallest_slots(len(mixed))
+        pool = self._smallest_slots(len(keys))
         counts_l = self._counts.tolist()
         errors_l = self._errors.tolist()
         stamps_l = self._stamps.tolist()
-        weights_l = weights.tolist()
-        batch_stamps_l = batch_stamps.tolist()
         heap = [(counts_l[s], stamps_l[s], s) for s in pool.tolist()]
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
-        for pos in mixed:
-            key = keys_in[pos]
-            weight = weights_l[pos]
-            stamp = batch_stamps_l[pos]
-            slot = slot_of.get(key)
-            if slot is not None:
-                # At-risk hit (unless an earlier eviction removed the key, in
-                # which case the dict lookup already re-classified it).
-                count = counts_l[slot] + weight
-                counts_l[slot] = count
-                stamps_l[slot] = stamp
-                heappush(heap, (count, stamp, slot))
-                continue
+        for key, weight, stamp in zip(keys, weights.tolist(), stamps.tolist()):
             while True:
                 count, victim_stamp, slot = heappop(heap)
                 if stamps_l[slot] == victim_stamp:
@@ -567,16 +461,54 @@ class ArraySpaceSaving(CounterAlgorithm):
         self._counts = np.zeros(self._capacity, dtype=np.int64)
         self._errors = np.zeros(self._capacity, dtype=np.int64)
         self._stamps = np.zeros(self._capacity, dtype=np.int64)
-        self._keys = [None] * self._capacity
+        self._keys = []
         self._slot = {}
         for slot, (key, count, error) in enumerate(kept):
             self._counts[slot] = count
             self._errors[slot] = error
             self._stamps[slot] = slot + 1
-            self._keys[slot] = key
+            self._keys.append(key)
             self._slot[key] = slot
         self._size = n
         self._clock = n
         self._heap = None
         self._total = total
         self._absent_floor = floor
+
+    def __getstate__(self) -> dict:
+        """Flat picklable form: the used slots only, no heap, no key dict.
+
+        ``_slot`` is rebuilt from the keys, so the pickle carries each key
+        once; ``order`` records the slots in the dict's own iteration order,
+        which a round trip (checkpoint, worker restart) preserves - and with
+        it the output's candidate order - bit-for-bit.  ``_heap`` is a
+        rebuildable cache and is dropped.
+        """
+        size = self._size
+        return {
+            "capacity": self._capacity,
+            "total": self._total,
+            "clock": self._clock,
+            "absent_floor": self._absent_floor,
+            "counts": self._counts[:size],
+            "errors": self._errors[:size],
+            "stamps": self._stamps[:size],
+            "keys": self._keys,
+            "order": np.fromiter(self._slot.values(), dtype=np.int64, count=len(self._slot)),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        capacity = self._capacity = state["capacity"]
+        keys = self._keys = list(state["keys"])
+        size = self._size = len(keys)
+        self._total = state["total"]
+        self._clock = state["clock"]
+        self._absent_floor = state["absent_floor"]
+        self._counts = np.zeros(capacity, dtype=np.int64)
+        self._errors = np.zeros(capacity, dtype=np.int64)
+        self._stamps = np.zeros(capacity, dtype=np.int64)
+        self._counts[:size] = state["counts"]
+        self._errors[:size] = state["errors"]
+        self._stamps[:size] = state["stamps"]
+        self._slot = {keys[slot]: slot for slot in state["order"].tolist()}
+        self._heap = None

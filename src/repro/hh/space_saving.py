@@ -22,11 +22,27 @@ worst-case per-packet cost.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 from repro.hh.merge import merge_space_saving
+
+
+def hits_first(pairs: Iterable[Tuple[Hashable, int]], monitored: Container) -> List[Tuple[Hashable, int]]:
+    """The Space Saving batch order: hits first, then the remaining pairs.
+
+    Pairs whose key is in ``monitored`` (the summary's keys when the batch
+    starts) come first, then the rest; each group keeps its given order.
+    Both Space Saving structures apply every batch in this order, which lets
+    the array structure add all hits in one bulk step before any eviction.
+    Space Saving's guarantees hold for any arrival order, so reordering
+    within a batch keeps them.
+    """
+    pairs = list(pairs)
+    return [pair for pair in pairs if pair[0] in monitored] + [
+        pair for pair in pairs if pair[0] not in monitored
+    ]
 
 
 class _Bucket:
@@ -190,17 +206,42 @@ class SpaceSaving(CounterAlgorithm):
         self._where[key] = dest
 
     def update_batch(self, items) -> None:
-        """Apply aggregated ``(key, weight)`` updates with a tight inlined loop.
+        """Apply ``(key, weight)`` pairs in the Space Saving batch order.
 
-        A weighted update of ``w`` is exactly equivalent to ``w`` consecutive
-        unit updates of the same key (the eviction, error inheritance and
-        bucket promotion all commute with consecutive same-key increments), so
-        feeding pre-aggregated pairs preserves the per-key Space Saving state:
-        this method leaves the summary bit-identical to the same pairs fed
-        through :meth:`update`.  All three update paths are inlined with the
-        bookkeeping hoisted into locals because this loop carries the entire
+        Hits - pairs whose key is monitored when the batch starts - are
+        applied as they are read; the remaining pairs are held back and
+        applied after them, each group in its given order (see
+        :func:`hits_first`).  The summary ends bit-identical to
+        :meth:`update_batch_reference` on the same pairs.  A weighted update
+        of ``w`` is exactly ``w`` consecutive unit updates of the same key,
+        so pre-aggregated pairs preserve the per-key Space Saving state.
+
+        If a weight is invalid or the iterable itself fails, the pairs read
+        before the failure are still applied, hits first, and counted in
+        ``total`` before the error propagates.  The miss loop is inlined
+        with the bookkeeping hoisted into locals because it carries the
         residual scalar cost of the vectorized RHHH batch engine.
         """
+        where = self._where
+        promote = self._promote
+        total = self._total
+        held_back = []
+        try:
+            for key, weight in items:
+                if weight <= 0:
+                    raise ValueError("weight must be positive")
+                bucket = where.get(key)
+                if bucket is None:
+                    held_back.append((key, weight))
+                else:
+                    total += weight
+                    promote(key, bucket, weight)
+        finally:
+            self._total = total
+            self._apply_in_order(held_back)
+
+    def _apply_in_order(self, pairs: List[Tuple[Hashable, int]]) -> None:
+        """:meth:`update` over validated pairs, inlined (the batch miss path)."""
         where = self._where
         capacity = self._capacity
         promote = self._promote
@@ -208,62 +249,57 @@ class SpaceSaving(CounterAlgorithm):
         remove_bucket = self._remove_bucket
         locate = self._locate
         total = self._total
-        try:
-            for key, weight in items:
-                if weight <= 0:
-                    raise ValueError("weight must be positive")
-                total += weight
-                bucket = where.get(key)
-                if bucket is not None:
-                    promote(key, bucket, weight)
-                    continue
-                if len(where) < capacity:
-                    # Free slot: start a new counter with zero error.
-                    head = self._head
-                    if head is not None and head.count == weight:
-                        dest = head
-                    else:
-                        dest, prev = locate(None, weight)
-                        if dest is None:
-                            dest = _Bucket(weight)
-                            insert_after(dest, prev)
-                    dest.keys[key] = 0
-                    where[key] = dest
-                    continue
-                # Table full: evict a key from the minimum bucket.
-                min_bucket = self._head
-                assert min_bucket is not None
-                min_keys = min_bucket.keys
-                victim = next(iter(min_keys))
-                min_count = min_bucket.count
-                del min_keys[victim]
-                del where[victim]
-                if not min_keys:
-                    remove_bucket(min_bucket)
-                # The newcomer inherits the victim's count as its error.
-                new_count = min_count + weight
+        for key, weight in pairs:
+            total += weight
+            bucket = where.get(key)
+            if bucket is not None:
+                # A key repeated within the batch, inserted by an earlier pair.
+                promote(key, bucket, weight)
+                continue
+            if len(where) < capacity:
+                # Free slot: start a new counter with zero error.
                 head = self._head
-                if head is not None and head.count == new_count:
+                if head is not None and head.count == weight:
                     dest = head
                 else:
-                    dest, prev = locate(None, new_count)
+                    dest, prev = locate(None, weight)
                     if dest is None:
-                        dest = _Bucket(new_count)
+                        dest = _Bucket(weight)
                         insert_after(dest, prev)
-                dest.keys[key] = min_count
+                dest.keys[key] = 0
                 where[key] = dest
-        finally:
-            # Write the hoisted total back even if the pair iterable blew up
-            # mid-batch, so the applied prefix stays fully accounted.
-            self._total = total
+                continue
+            # Table full: evict a key from the minimum bucket.
+            min_bucket = self._head
+            assert min_bucket is not None
+            min_keys = min_bucket.keys
+            victim = next(iter(min_keys))
+            min_count = min_bucket.count
+            del min_keys[victim]
+            del where[victim]
+            if not min_keys:
+                remove_bucket(min_bucket)
+            # The newcomer inherits the victim's count as its error.
+            new_count = min_count + weight
+            head = self._head
+            if head is not None and head.count == new_count:
+                dest = head
+            else:
+                dest, prev = locate(None, new_count)
+                if dest is None:
+                    dest = _Bucket(new_count)
+                    insert_after(dest, prev)
+            dest.keys[key] = min_count
+            where[key] = dest
+        self._total = total
 
     def update_batch_reference(self, items) -> None:
-        """Scalar twin of :meth:`update_batch`: the same pairs, one at a time.
+        """Scalar twin of :meth:`update_batch`: the same pairs, hits first, one at a time.
 
-        This is the specification the inlined batch loop is pinned against:
-        after either method the summary must be bit-identical.
+        This is the specification the batch loop is pinned against: after
+        either method the summary must be bit-identical.
         """
-        for key, weight in items:
+        for key, weight in hits_first(items, self._where):
             self.update(key, int(weight))
 
     def estimate(self, key: Hashable) -> float:

@@ -21,7 +21,7 @@ from repro.core.batch import (
 )
 from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
-from repro.hh.base import CounterAlgorithm
+from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
 
 
@@ -37,7 +37,7 @@ class MST(LatticeHHH):
     name = "mst"
 
     def __init__(
-        self, hierarchy: Hierarchy, *, epsilon: float = 0.001, counter: CounterLike = "space_saving"
+        self, hierarchy: Hierarchy, *, epsilon: float = 0.001, counter: CounterLike = DEFAULT_COUNTER
     ) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")

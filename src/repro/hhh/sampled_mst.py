@@ -28,7 +28,7 @@ from repro.core.batch import (
 from repro.core.determinism import resolve_seed
 from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
 from repro.exceptions import ConfigurationError
-from repro.hh.base import CounterAlgorithm
+from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
 
 
@@ -55,7 +55,7 @@ class SampledMST(LatticeHHH):
         epsilon: float = 0.001,
         delta: float = 0.001,
         sampling_probability: Optional[float] = None,
-        counter: CounterLike = "space_saving",
+        counter: CounterLike = DEFAULT_COUNTER,
         seed: Optional[int] = None,
     ) -> None:
         if not 0.0 < epsilon < 1.0:

@@ -44,8 +44,12 @@ class TestEstimates:
 
 class TestChooser:
     def test_space_saving_preferred_when_it_fits(self):
+        # The array structure is the preferred Space Saving: on a budget both
+        # structures fit, it wins; the linked one only when named alone.
         budget = estimate_counter_memory("space_saving", epsilon=0.01) + 1
-        assert choose_counter_backend(budget, epsilon=0.01) == "space_saving"
+        assert choose_counter_backend(budget, epsilon=0.01) == "array_space_saving"
+        linked_only = ("space_saving", "count_min", "count_sketch")
+        assert choose_counter_backend(budget, epsilon=0.01, candidates=linked_only) == "space_saving"
 
     def test_array_backend_chosen_when_linked_does_not_fit(self):
         # The array-backed Space Saving is the compacter twin of the linked
@@ -76,7 +80,7 @@ class TestChooser:
         counter = build_counter(
             CounterSpec(auto=True, memory_bytes=10_000_000), epsilon=0.01
         )
-        assert type(counter).__name__ == "SpaceSaving"
+        assert type(counter).__name__ == "ArraySpaceSaving"
 
     def test_auto_spec_builds_array_space_saving_on_a_mid_budget(self):
         epsilon = 0.01
@@ -98,7 +102,7 @@ class TestChooser:
 
     def test_auto_spec_resolution_is_recorded(self):
         resolved = CounterSpec(auto=True, memory_bytes=10_000_000).resolve(0.01)
-        assert resolved.name == "space_saving" and resolved.auto is False
+        assert resolved.name == "array_space_saving" and resolved.auto is False
 
 
 class TestChooserBoundaries:
@@ -107,11 +111,11 @@ class TestChooserBoundaries:
     def test_budget_exactly_at_estimate_fits(self):
         for name in ("space_saving", "array_space_saving"):
             budget = estimate_counter_memory(name, epsilon=0.01)
-            assert choose_counter_backend(budget, epsilon=0.01) == name
-        # One byte below the preferred backend's estimate, the next-cheaper
-        # variant takes over.
-        space_saving = estimate_counter_memory("space_saving", epsilon=0.01)
-        assert choose_counter_backend(space_saving - 1, epsilon=0.01) == "array_space_saving"
+            assert choose_counter_backend(budget, epsilon=0.01, candidates=(name,)) == name
+        # One byte below the array estimate, only a bounded-track sketch fits.
+        array = estimate_counter_memory("array_space_saving", epsilon=0.01)
+        assert choose_counter_backend(array, epsilon=0.01, track=10) == "array_space_saving"
+        assert choose_counter_backend(array - 1, epsilon=0.01, track=10) == "count_min"
 
     def test_budget_below_every_estimate_is_an_error(self):
         cheapest = min(
@@ -146,22 +150,22 @@ class TestShardBudgetDivision:
         from repro.api.specs import AlgorithmSpec
         from repro.core.shard import ShardedHHH
 
-        space_saving = estimate_counter_memory("space_saving", epsilon=0.01)
         array = estimate_counter_memory("array_space_saving", epsilon=0.01)
-        budget = space_saving + array  # fits the linked backend outright...
-        assert array <= budget // 2 < space_saving  # ...but halved, only the array one
+        sketch = estimate_counter_memory("count_min", epsilon=0.01, track=10)
+        budget = array + sketch  # fits the array backend outright...
+        assert sketch <= budget // 2 < array  # ...but halved, only the sketch
         spec = AlgorithmSpec(
             name="rhhh",
             epsilon=0.05,
             seed=1,
-            counter=CounterSpec(auto=True, memory_bytes=budget, epsilon=0.01),
+            counter=CounterSpec(auto=True, memory_bytes=budget, epsilon=0.01, track=10),
         )
         unsharded = build_counter(spec.counter, epsilon=0.01)
-        assert type(unsharded).__name__ == "SpaceSaving"
+        assert type(unsharded).__name__ == "ArraySpaceSaving"
         engine = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
         for shard in range(2):
             node_counter = engine.shard_algorithm(shard).node_counter(0)
-            assert type(node_counter).__name__ == "ArraySpaceSaving"
+            assert type(node_counter).__name__ == "CountMinSketch"
 
 
 class TestSketchGeometryEstimates:
@@ -186,55 +190,3 @@ class TestSketchGeometryEstimates:
         even = estimate_counter_memory("count_sketch", epsilon=0.05, delta=0.04, track=0)
         odd = estimate_counter_memory("count_sketch", epsilon=0.05, delta=0.01, track=0)
         assert even == odd == CountSketch(epsilon=0.05, delta=0.01).depth * CountSketch.derived_width(0.05) * 8
-
-
-class TestChurnAwareChoice:
-    """``working_set`` steers the chooser toward sketches under churn."""
-
-    BIG_BUDGET = 4 << 20  # every backend fits at epsilon=0.01, track=50
-
-    def test_high_churn_prefers_a_fitting_sketch(self):
-        calm = choose_counter_backend(self.BIG_BUDGET, epsilon=0.01, track=50)
-        stormy = choose_counter_backend(
-            self.BIG_BUDGET, epsilon=0.01, track=50, working_set=1000
-        )
-        assert calm == "space_saving"
-        assert stormy == "count_min"
-
-    def test_working_set_within_capacity_keeps_space_saving(self):
-        # ceil(1/epsilon) == 100 counters hold the whole working set: no
-        # eviction storm, the paper's deterministic counter stays preferred.
-        choice = choose_counter_backend(
-            self.BIG_BUDGET, epsilon=0.01, track=50, working_set=100
-        )
-        assert choice == "space_saving"
-
-    def test_churn_preference_requires_a_fitting_sketch(self):
-        # A budget only the Space Saving variants fit: the churn hint cannot
-        # conjure a sketch into the budget.
-        budget = estimate_counter_memory("space_saving", epsilon=0.01)
-        assert estimate_counter_memory("count_min", epsilon=0.01) > budget
-        choice = choose_counter_backend(budget, epsilon=0.01, working_set=10**6)
-        assert choice == "space_saving"
-
-    def test_working_set_validation(self):
-        with pytest.raises(ConfigurationError, match="working_set"):
-            choose_counter_backend(self.BIG_BUDGET, epsilon=0.01, working_set=0)
-        with pytest.raises(ConfigurationError, match="working_set"):
-            CounterSpec(auto=True, memory_bytes=1024, working_set=0)
-
-    def test_counter_spec_resolves_and_round_trips_working_set(self):
-        spec = CounterSpec(
-            auto=True,
-            memory_bytes=self.BIG_BUDGET,
-            epsilon=0.01,
-            track=50,
-            working_set=1000,
-        )
-        resolved = spec.resolve()
-        assert resolved.name == "count_min"
-        assert resolved.working_set == 1000
-        clone = CounterSpec.from_dict(spec.to_dict())
-        assert clone == spec
-        counter = build_counter(resolved)
-        assert type(counter).__name__ == "CountMinSketch"

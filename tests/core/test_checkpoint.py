@@ -29,7 +29,7 @@ import pytest
 
 from repro.api.registry import build_algorithm, make_hierarchy
 from repro.api.session import Session, _skip_batches
-from repro.api.specs import AlgorithmSpec, ExperimentSpec
+from repro.api.specs import AlgorithmSpec, CounterSpec, ExperimentSpec
 from repro.core.checkpoint import (
     _HEADER,
     CHECKPOINT_MAGIC,
@@ -249,10 +249,15 @@ class TestShardedEngineSnapshots:
         [(True, False), (False, True)],
         ids=["pool-to-serial", "serial-to-pool"],
     )
-    def test_snapshot_crosses_the_serial_pool_boundary(self, first_parallel, then_parallel):
+    @pytest.mark.parametrize("counter", ["space_saving", "array_space_saving"])
+    def test_snapshot_crosses_the_serial_pool_boundary(self, counter, first_parallel, then_parallel):
         # The split falls on a batch boundary: batches aggregate internally.
+        # Both Space Saving structures must pickle to the same bytes whether
+        # their state was built in this process or unpickled from a worker.
         keys = _keys_1d(40_960)
-        spec = AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=13)
+        spec = AlgorithmSpec(
+            name="rhhh", epsilon=0.05, delta=0.1, seed=13, counter=CounterSpec(name=counter)
+        )
         reference = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
         _feed(reference, keys, 0, len(keys), 4_096)
         with ShardedHHH(spec, "1d-bytes", 2, parallel=first_parallel) as first:

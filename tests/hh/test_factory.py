@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.registry import counter_names
+from repro.api.registry import counter_names, make_hierarchy
 from repro.api.specs import CounterSpec
 from repro.core.output import prepare_counter_factory
+from repro.core.rhhh import RHHH
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 
@@ -46,3 +47,18 @@ class TestFactory:
         assert first is not second
         first.update("hot")
         assert first.total == 1 and second.total == 0
+
+    def test_spec_resolves_once_per_lattice_build(self, monkeypatch):
+        # One resolution per algorithm, not one more per lattice node: the
+        # prepared factory only instantiates.
+        resolved = []
+        original = CounterSpec.resolve
+
+        def counting_resolve(spec, *args, **kwargs):
+            resolved.append(spec)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(CounterSpec, "resolve", counting_resolve)
+        algorithm = RHHH(make_hierarchy("2d-bytes"), epsilon=0.05, seed=1)
+        assert algorithm.hierarchy.size == 25
+        assert len(resolved) == 1

@@ -35,7 +35,7 @@ from repro.core.batch import (
     unique_key_array,
 )
 from repro.core.rhhh import RHHH
-from repro.core.shard import ShardedHHH, per_shard_algorithm_spec
+from repro.core.shard import ShardedHHH
 from repro.api.registry import make_hierarchy
 from repro.api.specs import AlgorithmSpec, CounterSpec
 from repro.hh.conservative_update import ConservativeCountMin
@@ -347,12 +347,3 @@ class TestShardedSketchLockstep:
             assert pooled_total == serial_total
             assert [_state(c) for c in pooled_counters] == [_state(c) for c in serial_counters]
             assert _output_state(pooled.output(0.1)) == _output_state(serial.output(0.1))
-
-    def test_per_shard_spec_divides_the_working_set_hint(self):
-        spec = AlgorithmSpec(
-            name="rhhh",
-            counter=CounterSpec(auto=True, memory_bytes=100_000, working_set=1000),
-        )
-        sharded = per_shard_algorithm_spec(spec, 1, 4)
-        assert sharded.counter.memory_bytes == 25_000
-        assert sharded.counter.working_set == 250
