@@ -11,9 +11,9 @@ The public entry points are:
   configurations and the multi-update variant of Corollary 6.8;
 * :class:`~repro.core.base.HHHAlgorithm` / :class:`~repro.core.base.HHHCandidate`
   - the interface shared with the baseline algorithms in :mod:`repro.hhh`;
-* :class:`~repro.core.shard.ShardedHHH` - the hash-partitioned parallel
-  execution layer that runs shard replicas (optionally in worker processes)
-  and reduces their counter summaries with the ``merge`` protocol;
+* :class:`~repro.core.shard.ShardedHHH` - the replica driver that routes a
+  stream to hash-partitioned replicas (in-process, in worker processes, or
+  a switch fleet) and reduces their counter summaries with ``merge``;
 * the fault-tolerance layer - :mod:`repro.core.checkpoint` (atomic,
   checksummed snapshots of any algorithm's runtime state),
   :mod:`repro.core.supervise` (worker supervision with ``fail`` / ``restart``

@@ -1,24 +1,28 @@
-"""Partition and merge: hash-routed replicas of a lattice algorithm, one answer.
+"""One replica driver: hash-routed replicas of a lattice algorithm, one answer.
 
-Two engines run a stream as ``N`` replicas of one lattice algorithm (RHHH,
-MST or SampledMST - anything keeping one mergeable counter per lattice
-node) and answer queries from the merge of the replica summaries: the
-:class:`ShardedHHH` below, and the simulated switch fleet of
-:mod:`repro.distrib`.  Both are built from the two pieces of this module:
+:class:`ShardedHHH` runs a stream as ``N`` replicas of one lattice algorithm
+(RHHH, MST or SampledMST - anything keeping one mergeable counter per
+lattice node) and answers queries from the merge of the replica summaries.
+The driver owns what every deployment shares:
 
 * :func:`partition_batch` routes every key to exactly one replica
   (multiplicative hashing on the packed key, :func:`shard_of_key` being its
   scalar twin), keeping stream order within each part;
-* :class:`LatticeMerger` reduces per-replica ``(total, counters)`` states
-  with the :meth:`~repro.hh.base.FrequencyEstimator.merge` protocol and runs
-  the algorithm's Output on the merged lattice, incrementally by default.
+* the batch clock, at which fault-plan ``kill``/``delay`` events fire;
+* the loss ledger: the weight dispatched to each replica, of which whatever
+  no replica state accounts for becomes a
+  :class:`~repro.core.supervise.ShardLoss`;
+* :class:`LatticeMerger`, which reduces per-replica ``(total, counters)``
+  states with the :meth:`~repro.hh.base.FrequencyEstimator.merge` protocol
+  and runs the algorithm's Output on the merged lattice.
 
-:class:`ShardedHHH` runs its replicas in-process (``parallel=False``, the
-deterministic reference) or one per worker process under a
-:class:`~repro.core.supervise.ShardSupervisor`, whose policy decides what a
-worker death means (``fail``, ``restart`` or ``degrade``).  Merged output is
-*not* bit-identical to an unsharded run (the sampling draws differ and Space
-Saving truncates the merged summary to capacity), which is why
+How a sub-batch reaches a replica and how its state comes back is a replica
+set: :class:`InProcessReplicas` (``parallel=False``, the deterministic
+lockstep reference), :class:`WorkerPoolReplicas` (one worker process per
+replica under a :class:`~repro.core.supervise.ShardSupervisor`) and the
+switch fleet of :class:`repro.distrib.cluster.DistributedCluster`.  Merged
+output is *not* bit-identical to an unsharded run (the sampling draws differ
+and Space Saving truncates the merged summary to capacity), which is why
 ``tests/core/test_shard.py`` and ``tests/eval/test_accuracy_regression.py``
 pin the error-bound and (epsilon, delta)-coverage guarantees instead.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -338,24 +342,152 @@ class LatticeMerger:
 
 
 # --------------------------------------------------------------------------- #
-# the sharded engine
+# replica sets: how sub-batches reach the replicas and how state comes back
+# --------------------------------------------------------------------------- #
+
+#: One dispatch job: ``(replica, message, weight)``.  ``message`` is a worker
+#: protocol command, ``("update_batch", keys, weights)`` or ``("update", key,
+#: weight)``, and ``weight`` the packet weight it carries.
+Job = Tuple[int, tuple, int]
+
+#: What a lagging replica's state still accounts for:
+#: ``(accounted weight, exitcode, at_batch, reason)``.
+Account = Tuple[int, Optional[int], Optional[int], str]
+
+
+class ReplicaSet:
+    """How sub-batches reach the replicas and how their state comes back.
+
+    The driver owns routing, the batch clock, fault firing and the loss
+    ledger; a replica set moves work and state.  Every set implements
+    ``apply(jobs, batch)``, ``states(fresh)`` (the merger's replica states),
+    ``signatures(clock, nodes)`` (per-node merge signatures),
+    ``runtime_states()``/``restore_states(states)`` and ``counters()``;
+    sets that accept fault plans add ``kill(replica)`` and
+    ``delay(replica, seconds, batch)``.  ``live`` says :meth:`states` hands
+    over the replicas' own counters, so the merger copies each merge target.
+    """
+
+    live = False
+
+    def end_batch(self, batch: int) -> None:
+        """Hook after every dispatch step."""
+
+    def flush(self) -> None:
+        """Bring the queryable state up to date before a query."""
+
+    def accounts(self) -> Dict[int, Account]:
+        """Replicas whose state may lag their dispatched weight."""
+        return {}
+
+    @property
+    def failed(self) -> List[int]:
+        """Replicas lost for good (reported even when nothing is lost yet)."""
+        return []
+
+    def close(self, raise_errors: bool = True) -> None:
+        """Release what the set holds (idempotent)."""
+
+
+class InProcessReplicas(ReplicaSet):
+    """Live replicas in this process, applied in replica order: the lockstep reference."""
+
+    live = True
+
+    def __init__(self, specs: Sequence[AlgorithmSpec], hierarchy: Hierarchy) -> None:
+        from repro.api.registry import build_algorithm
+
+        self.algorithms = [build_algorithm(spec, hierarchy) for spec in specs]
+
+    def apply(self, jobs: Sequence[Job], batch: int) -> None:
+        for replica, (command, *args), _ in jobs:
+            getattr(self.algorithms[replica], command)(*args)
+
+    def states(self, fresh: bool) -> List[ReplicaState]:
+        return [(replica.total, replica._counters) for replica in self.algorithms]
+
+    def signatures(self, clock: int, nodes: int) -> List[Hashable]:
+        """Per node, the replicas' own version stamps."""
+        return list(zip(*(replica._versions for replica in self.algorithms)))
+
+    def runtime_states(self) -> List[dict]:
+        return [capture_runtime_state(replica) for replica in self.algorithms]
+
+    def restore_states(self, states: Sequence[dict]) -> None:
+        for replica, state in zip(self.algorithms, states):
+            apply_runtime_state(replica, state)
+
+    def counters(self) -> int:
+        return sum(replica.counters() for replica in self.algorithms)
+
+
+class WorkerPoolReplicas(ShardSupervisor, ReplicaSet):
+    """One worker process per replica: a :class:`ShardSupervisor` speaking the set protocol.
+
+    Sub-batches go out to every worker before any acknowledgement is
+    collected, so the replicas' vectorized engines run concurrently.  States
+    come back as private unpickled copies; a shard abandoned under the
+    degrade policy is represented by its last supervision checkpoint.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[AlgorithmSpec],
+        hierarchy_payload,
+        policy: SupervisorPolicy,
+        start_method: str,
+        counters: int,
+    ) -> None:
+        super().__init__(specs, hierarchy_payload, policy, start_method=start_method)
+        self._counters = counters
+        try:
+            self.start()
+        except BaseException:
+            self.close(raise_errors=False)
+            raise
+
+    def apply(self, jobs: Sequence[Job], batch: int) -> None:
+        touched = [replica for replica, message, _ in jobs if self.send_update(replica, message, batch)]
+        self.collect_acks(touched, batch)
+
+    def end_batch(self, batch: int) -> None:
+        self.maybe_checkpoint(batch)
+
+    def states(self, fresh: bool) -> List[ReplicaState]:
+        return self.merge_states()
+
+    def signatures(self, clock: int, nodes: int) -> List[Hashable]:
+        """Whole states ship per query, so every node keys on the clock and the dead set."""
+        return [(clock, tuple(self.failed_shards))] * nodes
+
+    def accounts(self) -> Dict[int, Account]:
+        return {shard: self.dead_account(shard) for shard in self.failed_shards}
+
+    failed = ShardSupervisor.failed_shards
+
+    def counters(self) -> int:
+        return self._counters
+
+
+# --------------------------------------------------------------------------- #
+# the replica driver
 # --------------------------------------------------------------------------- #
 
 
 class ShardedHHH(HHHAlgorithm):
-    """Hash-partitioned shard replicas of a lattice HHH algorithm.
+    """Hash-partitioned replicas of a lattice HHH algorithm behind one interface.
 
     Args:
-        algorithm: the :class:`~repro.api.specs.AlgorithmSpec` each shard
-            replica is built from (or a bare registry name).  The spec's
-            ``seed`` is the *root* seed; per-shard seeds are spawned from it.
+        algorithm: the :class:`~repro.api.specs.AlgorithmSpec` each replica
+            is built from (or a bare registry name).  The spec's ``seed`` is
+            the *root* seed; per-replica seeds are spawned from it.
         hierarchy: the hierarchical domain - a registry name (preferred for
             process workers: each worker rebuilds it by name) or a
             :class:`~repro.hierarchy.base.Hierarchy` instance (pickled to
             the workers; the builtin hierarchies are plain data).
-        shards: number of shard replicas (>= 1).
-        parallel: ``True`` gives each shard a worker process; ``False`` runs
-            the replicas in-process (same results, no processes - the
+        shards: number of replicas (>= 1).
+        parallel: ``True`` gives each replica a worker process; ``False``
+            runs the replicas in-process (same results, no processes - the
             lockstep reference and the sensible choice for tiny runs).
         start_method: multiprocessing start method for the worker pool
             (default ``"spawn"``, the method that works on every platform
@@ -364,9 +496,9 @@ class ShardedHHH(HHHAlgorithm):
             :class:`~repro.core.supervise.SupervisorPolicy`, a bare policy
             name (``"fail"``/``"restart"``/``"degrade"``), or ``None`` for
             the default fail-fast policy.
-        fault_plan: optional :class:`~repro.core.faults.FaultPlan` firing
-            deterministic worker kills/delays at scheduled batch indices
-            (``parallel=True`` only; the fault-injection test hook).
+        fault_plan: optional :class:`~repro.core.faults.FaultPlan` whose
+            ``kill``/``delay`` events fire at the start of the scheduled
+            batch (``parallel=True`` only; the fault-injection test hook).
     """
 
     name = "sharded"
@@ -382,7 +514,7 @@ class ShardedHHH(HHHAlgorithm):
         supervisor: Union[SupervisorPolicy, str, None] = None,
         fault_plan=None,
     ) -> None:
-        from repro.api.registry import build_algorithm, make_hierarchy
+        from repro.api.registry import make_hierarchy
 
         spec = AlgorithmSpec(name=algorithm) if isinstance(algorithm, str) else algorithm
         if not isinstance(spec, AlgorithmSpec):
@@ -400,17 +532,18 @@ class ShardedHHH(HHHAlgorithm):
                 f"supervisor must be a SupervisorPolicy or policy name, "
                 f"got {type(supervisor).__name__}"
             )
-        if fault_plan is not None and not parallel:
-            raise ConfigurationError(
-                "fault_plan injects worker kills/delays and requires parallel=True"
-            )
+        for event in fault_plan.events if fault_plan is not None else ():
+            if event.kind in ("kill", "delay") and event.shard >= shards:
+                raise ConfigurationError(
+                    f"fault plan {event.kind!r} event at batch {event.at_batch} targets "
+                    f"shard {event.shard}, but the engine has {shards} replicas"
+                )
         hierarchy_obj = make_hierarchy(hierarchy) if isinstance(hierarchy, str) else hierarchy
         super().__init__(hierarchy_obj)
         self._spec = spec
         self._shards = shards
-        self._parallel = bool(parallel)
-        self._start_method = start_method
         self._policy = supervisor
+        self._fault_plan = fault_plan
         self._seeds = spawn_shard_seeds(spec.seed, shards)
         self._shard_specs = [
             per_shard_algorithm_spec(spec, seed, shards) for seed in self._seeds
@@ -418,30 +551,34 @@ class ShardedHHH(HHHAlgorithm):
         # Built up front, so unshardable specs fail fast.
         self._merger = LatticeMerger(spec, hierarchy_obj, shards)
         self._template = self._merger.template
-        self._replicas: List[HHHAlgorithm] = []
-        self._supervisor: Optional[ShardSupervisor] = None
+        #: The loss ledger: weight routed to each replica so far.
+        self._dispatched = [0] * shards
         self._batch_index = 0
         self._closed = False
-        if self._parallel:
-            self._supervisor = ShardSupervisor(
+        self._replicas = self._build_replicas(hierarchy, parallel, start_method)
+
+    def _build_replicas(self, hierarchy, parallel: bool, start_method: str) -> ReplicaSet:
+        """The replica set: a worker pool, or in-process replicas."""
+        if parallel:
+            return WorkerPoolReplicas(
                 self._shard_specs,
-                hierarchy if isinstance(hierarchy, str) else hierarchy_obj,
-                supervisor,
-                start_method=start_method,
-                fault_plan=fault_plan,
+                hierarchy if isinstance(hierarchy, str) else self.hierarchy,
+                self._policy,
+                start_method,
+                self._shards * self._template.counters(),
             )
-            self._supervisor.start()
-        else:
-            self._replicas = [
-                build_algorithm(shard_spec, hierarchy_obj) for shard_spec in self._shard_specs
-            ]
+        if self._fault_plan is not None:
+            raise ConfigurationError(
+                "fault_plan injects worker kills/delays and requires parallel=True"
+            )
+        return InProcessReplicas(self._shard_specs, self.hierarchy)
 
     # ------------------------------------------------------------------ #
-    # worker lifecycle
+    # lifecycle
     # ------------------------------------------------------------------ #
 
     def close(self, raise_errors: bool = True) -> None:
-        """Shut the worker pool down (idempotent; serial mode is a no-op).
+        """Release the replica set (idempotent; only the worker pool holds anything).
 
         The supervisor collects close-time failures of shards not already
         reported and raises them as one error naming each shard and
@@ -451,8 +588,7 @@ class ShardedHHH(HHHAlgorithm):
         if self._closed:
             return
         self._closed = True
-        if self._supervisor is not None:
-            self._supervisor.close(raise_errors=raise_errors)
+        self._replicas.close(raise_errors=raise_errors)
 
     def __enter__(self) -> "ShardedHHH":
         return self
@@ -471,94 +607,78 @@ class ShardedHHH(HHHAlgorithm):
     # stream processing
     # ------------------------------------------------------------------ #
 
-    def update(self, key: Hashable, weight: int = 1) -> None:
-        """Route one packet to the shard owning its key.
+    def _dispatch(self, jobs: List[Job], total_weight: int) -> None:
+        """One dispatch step: fire due faults, apply the jobs, then tick the clock.
 
-        ``self._total`` moves only after the owning shard acknowledged (or
-        the supervisor recovered/degraded the failure), so a dispatch
-        failure never leaves the recorded total ahead of the shard state.
+        The total and the ledger move only after the replica set applied
+        every job (or its failure policy recovered or degraded the failure),
+        so a dispatch failure never leaves them ahead of replica state.
         """
-        check_weight(weight)
-        shard = shard_of_key(key, self._shards)
-        if self._parallel:
-            batch = self._batch_index
-            self._supervisor.begin_batch(batch)
-            if self._supervisor.send_update(shard, ("update", key, weight), weight, batch):
-                self._supervisor.collect_acks([shard], batch)
-            self._supervisor.maybe_checkpoint(batch)
-            self._batch_index += 1
-        else:
-            self._replicas[shard].update(key, weight)
-            self._batch_index += 1
-        self._total += weight
+        batch = self._batch_index
+        if self._fault_plan is not None:
+            for replica in self._fault_plan.kills_at(batch):
+                self._replicas.kill(replica)
+            for replica, seconds in self._fault_plan.delays_at(batch):
+                self._replicas.delay(replica, seconds, batch)
+        self._replicas.apply(jobs, batch)
+        self._replicas.end_batch(batch)
+        for replica, _, weight in jobs:
+            self._dispatched[replica] += weight
+        self._batch_index += 1
+        self._total += total_weight
 
-    # The sharded engine has no scalar twin of its own: its reference is the
-    # serial replica set the lockstep suite (test_shard.py) drives in parallel.
+    def update(self, key: Hashable, weight: int = 1) -> None:
+        """Route one packet to the replica owning its key (one dispatch step)."""
+        check_weight(weight)
+        replica = shard_of_key(key, self._shards)
+        self._dispatch([(replica, ("update", key, weight), weight)], weight)
+
+    # The driver has no scalar twin of its own: its reference is the
+    # in-process replica set the lockstep suites drive the other sets against.
     def update_batch(  # reprolint: ok(twin-parity)
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
     ) -> None:
-        """Hash-partition the batch and drive every shard's own ``update_batch``.
+        """Hash-partition the batch and drive every replica's own ``update_batch``.
 
-        In parallel mode the sub-batches are dispatched to all workers before
-        any acknowledgement is collected, so the per-shard vectorized engines
-        run concurrently; serial mode applies them in shard order.  Either
-        way each shard sees exactly the sub-stream of keys it owns, in stream
-        order - the property the lockstep suite pins.  The recorded total
-        only moves once every touched shard acknowledged (or its failure was
-        recovered/degraded), keeping ``total`` consistent with shard state
-        when a dispatch fails.
+        Each replica sees exactly the sub-stream of keys it owns, in stream
+        order - the property the lockstep suites pin.
         """
         n = len(keys)
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
-        parts = partition_batch(keys, weights_arr, self._shards)
-        if self._parallel:
-            batch = self._batch_index
-            self._supervisor.begin_batch(batch)
-            touched = []
-            for shard, (sub_keys, sub_weights) in enumerate(parts):
-                if len(sub_keys) == 0:
-                    continue
-                sub_weight = (
-                    int(sub_weights.sum()) if sub_weights is not None else len(sub_keys)
-                )
-                message = ("update_batch", sub_keys, sub_weights)
-                if self._supervisor.send_update(shard, message, sub_weight, batch):
-                    touched.append(shard)
-            self._supervisor.collect_acks(touched, batch)
-            self._supervisor.maybe_checkpoint(batch)
-            self._batch_index += 1
-        else:
-            for shard, (sub_keys, sub_weights) in enumerate(parts):
-                if len(sub_keys):
-                    self._replicas[shard].update_batch(sub_keys, sub_weights)
-            self._batch_index += 1
-        self._total += total_weight
+        jobs = [
+            (
+                replica,
+                ("update_batch", sub_keys, sub_weights),
+                int(sub_weights.sum()) if sub_weights is not None else len(sub_keys),
+            )
+            for replica, (sub_keys, sub_weights) in enumerate(
+                partition_batch(keys, weights_arr, self._shards)
+            )
+            if len(sub_keys)
+        ]
+        self._dispatch(jobs, total_weight)
 
     # ------------------------------------------------------------------ #
     # checkpoint/restore of the whole engine
     # ------------------------------------------------------------------ #
 
     def snapshot_state(self) -> dict:
-        """Full engine snapshot: per-shard runtime states + engine bookkeeping.
+        """Full engine snapshot: per-replica runtime states + engine bookkeeping.
 
         Plain picklable data, suitable for
         :func:`repro.core.checkpoint.save_checkpoint`.  Raises
-        :class:`~repro.exceptions.CheckpointError` on a degraded engine
-        (lost shards have no state left to snapshot).
+        :class:`~repro.exceptions.CheckpointError` on a degraded pool (lost
+        shards have no state left to snapshot) and on the switch fleet.
         """
-        if self._parallel:
-            shard_states = self._supervisor.runtime_states()
-        else:
-            shard_states = [capture_runtime_state(replica) for replica in self._replicas]
         return {
             "engine": "sharded",
             "shards": self._shards,
             "seeds": list(self._seeds),
             "total": self._total,
             "batch_index": self._batch_index,
-            "shard_states": shard_states,
+            "shard_states": self._replicas.runtime_states(),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -566,8 +686,8 @@ class ShardedHHH(HHHAlgorithm):
 
         The engine must have been built from the same spec: shard count and
         spawned seeds are verified, so a checkpoint can never be silently
-        replayed onto a differently-partitioned engine.  In parallel mode
-        the restored states also become the supervisor's recovery baseline.
+        replayed onto a differently-partitioned engine.  A worker pool also
+        takes the restored states as its recovery baseline.
         """
         if state.get("engine") != "sharded":
             raise CheckpointError(
@@ -583,11 +703,10 @@ class ShardedHHH(HHHAlgorithm):
                 "(different root seed or shard count)"
             )
         shard_states = state["shard_states"]
-        if self._parallel:
-            self._supervisor.restore_states(shard_states)
-        else:
-            for replica, shard_state in zip(self._replicas, shard_states):
-                apply_runtime_state(replica, shard_state)
+        self._replicas.restore_states(shard_states)
+        # Snapshots are only taken with every replica live, so each state
+        # accounts for exactly the weight dispatched to it.
+        self._dispatched = [int(shard["attrs"]["_total"]) for shard in shard_states]
         self._total = int(state["total"])
         self._batch_index = int(state["batch_index"])
         # Restored version stamps could coincidentally match cached
@@ -595,21 +714,12 @@ class ShardedHHH(HHHAlgorithm):
         self._merger.reset()
 
     # ------------------------------------------------------------------ #
-    # the merge reduction and queries
+    # the merge reduction, the loss ledger and queries
     # ------------------------------------------------------------------ #
 
     def _shard_states(self, fresh: bool) -> List[ReplicaState]:
-        """``(total, counters)`` of every shard, in shard order.
-
-        Parallel snapshots arrive as private unpickled copies via the
-        supervisor, which substitutes the last supervision checkpoint for a
-        degraded shard; serial mode hands over the live replicas.  Neither
-        source is cached, so every call is already ``fresh``.
-        """
-        if self._parallel:
-            states = self._supervisor.merge_states()
-        else:
-            states = [(replica.total, replica._counters) for replica in self._replicas]
+        """``(total, counters)`` of every replica with state left, in replica order."""
+        states = self._replicas.states(fresh)
         if not states:
             raise AlgorithmError(
                 "no shard state survives the failures: every shard was lost "
@@ -617,47 +727,47 @@ class ShardedHHH(HHHAlgorithm):
             )
         return states
 
-    def _signatures(self) -> List[Hashable]:
-        """Per-node merge signatures: replica version stamps, or the dispatch clock.
-
-        Parallel mode ships whole states per query, so every node is keyed
-        on the dispatch clock plus the loss account (which can move without
-        a dispatch under the degrade policy).
-        """
-        if self._parallel:
-            clock = (self._batch_index, self._supervisor.lost_packets())
-            return [clock] * self.hierarchy.size
-        return list(zip(*(replica._versions for replica in self._replicas)))
-
     def _loss(self) -> Tuple[int, List[ShardLoss]]:
-        if self._supervisor is None:
-            return 0, []
-        return self._supervisor.lost_packets(), self._supervisor.losses()
+        """The loss ledger: dispatched weight no replica state accounts for.
+
+        A replica is reported when it lost weight or is lost for good.
+        """
+        failed = set(self._replicas.failed)
+        losses = [
+            ShardLoss(replica, self._dispatched[replica] - accounted, exitcode, at_batch, reason)
+            for replica, (accounted, exitcode, at_batch, reason) in sorted(
+                self._replicas.accounts().items()
+            )
+        ]
+        losses = [loss for loss in losses if loss.lost_packets > 0 or loss.shard in failed]
+        return sum(loss.lost_packets for loss in losses), losses
 
     def merged_counters(self) -> Tuple[List, int]:
-        """Reduce the shard summaries into ``(per-node counters, summed total)``.
+        """Reduce the replica summaries into ``(per-node counters, summed total)``.
 
-        Under the degrade policy a lost shard contributes its last
-        checkpointed summary, so the returned total *excludes* the packets
-        reported in the supervisor's loss report.
+        The total counts what the replica states account for, so it
+        *excludes* the weight the loss ledger reports.
         """
-        return self._merger.merged_counters(self._shard_states, live=not self._parallel)
+        return self._merger.merged_counters(self._shard_states, live=self._replicas.live)
 
     def output(self, theta: float) -> HHHOutput:
-        """Merge the shards and run the underlying algorithm's Output on the result.
+        """Merge the replicas and run the underlying algorithm's Output on the result.
 
-        Lost weight under the degrade policy widens the bounds as
-        :meth:`LatticeMerger.output` describes.  Queries run incrementally;
-        ``_merger.cache = None`` forces the from-scratch reference path.
+        Lost weight widens the bounds as :meth:`LatticeMerger.output`
+        describes.  Queries run incrementally; ``_merger.cache = None``
+        forces the from-scratch reference path.
         """
+        self._replicas.flush()
         return self._merger.output(
-            theta, self._signatures(), self._shard_states, self._loss, live=not self._parallel
+            theta,
+            self._replicas.signatures(self._batch_index, self.hierarchy.size),
+            self._shard_states,
+            self._loss,
+            live=self._replicas.live,
         )
 
     def counters(self) -> int:
-        if self._parallel:
-            return self._shards * self._template.counters()
-        return sum(replica.counters() for replica in self._replicas)
+        return self._replicas.counters()
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -665,18 +775,18 @@ class ShardedHHH(HHHAlgorithm):
 
     @property
     def shards(self) -> int:
-        """Number of shard replicas."""
+        """Number of replicas."""
         return self._shards
 
     @property
     def parallel(self) -> bool:
-        """Whether shards run in worker processes."""
-        return self._parallel
+        """Whether replicas run in worker processes."""
+        return isinstance(self._replicas, WorkerPoolReplicas)
 
     @property
     def supervisor(self) -> Optional[ShardSupervisor]:
-        """The worker-pool supervisor (``None`` in serial mode)."""
-        return self._supervisor
+        """The worker-pool supervisor (``None`` without a worker pool)."""
+        return self._replicas if self.parallel else None
 
     @property
     def supervisor_policy(self) -> SupervisorPolicy:
@@ -685,8 +795,8 @@ class ShardedHHH(HHHAlgorithm):
 
     @property
     def failed_shards(self) -> List[ShardLoss]:
-        """Loss reports of shards abandoned under the degrade policy."""
-        return self._supervisor.losses() if self._supervisor is not None else []
+        """Loss reports of replicas whose state lags their dispatched weight."""
+        return self._loss()[1]
 
     @property
     def batch_index(self) -> int:
@@ -695,28 +805,27 @@ class ShardedHHH(HHHAlgorithm):
 
     @property
     def shard_seeds(self) -> List[int]:
-        """The per-shard RNG seeds spawned from the root seed."""
+        """The per-replica RNG seeds spawned from the root seed."""
         return list(self._seeds)
 
     @property
     def shard_specs(self) -> List[AlgorithmSpec]:
-        """The per-shard algorithm specs (own seed, divided memory budget)."""
+        """The per-replica algorithm specs (own seed, divided memory budget)."""
         return list(self._shard_specs)
 
     def worker_pids(self) -> dict:
-        """Pid of every live worker keyed by shard (parallel mode only)."""
-        if self._supervisor is None:
-            return {}
-        return self._supervisor.worker_pids()
+        """Pid of every live worker keyed by shard (worker pool only)."""
+        supervisor = self.supervisor
+        return supervisor.worker_pids() if supervisor is not None else {}
 
     def shard_algorithm(self, shard: int) -> HHHAlgorithm:
-        """The live replica of ``shard`` (serial mode only; for tests)."""
-        if self._parallel:
+        """The live replica of ``shard`` (in-process replicas only; for tests)."""
+        if not isinstance(self._replicas, InProcessReplicas):
             raise AlgorithmError("shard replicas live in worker processes when parallel=True")
-        return self._replicas[shard]
+        return self._replicas.algorithms[shard]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "parallel" if self._parallel else "serial"
+        mode = "parallel" if self.parallel else "serial"
         return (
             f"ShardedHHH({self._spec.name!r}, shards={self._shards}, {mode}, "
             f"N={self._total})"

@@ -1,10 +1,7 @@
-"""Shard-worker supervision: timeouts, liveness, crash recovery policies.
+"""Shard-worker supervision: the worker pool's spawn, IPC and failure handling.
 
-:class:`repro.core.shard.ShardedHHH` used to talk to its worker processes
-with bare ``conn.recv()`` calls: a worker killed by the OOM killer or stuck
-on a bad pipe hung the whole engine forever, and a dead worker surfaced as
-an anonymous ``EOFError``.  This module replaces that with a
-:class:`ShardSupervisor` that owns the worker lifecycle end to end:
+A :class:`ShardSupervisor` owns the processes behind the worker-pool replica
+set of :class:`repro.core.shard.ShardedHHH`:
 
 * every wait is ``poll()``-based with a deadline and interleaved
   ``process.is_alive()`` / exitcode liveness checks, so death and hangs are
@@ -12,23 +9,17 @@ an anonymous ``EOFError``.  This module replaces that with a
   :class:`~repro.exceptions.ShardFailure` naming the shard, its pid and its
   exitcode;
 * a :class:`SupervisorPolicy` decides what a failure means.  ``fail``
-  (default) raises immediately - the pre-supervision behaviour, minus the
-  hang.  ``restart`` respawns the shard, restores its last supervision
-  checkpoint (exact counter + RNG state, via
+  (default) raises.  ``restart`` respawns the shard, restores its last
+  supervision checkpoint (exact counter + RNG state, via
   :mod:`repro.core.checkpoint`) and replays the journal of updates
-  dispatched since - the recovered worker is bit-identical to one that
-  never died, so the engine's output matches the failure-free run exactly.
-  ``degrade`` abandons the shard: the run continues on the survivors, the
-  lost shard's checkpointed contribution is still merged at output time,
-  and the packets dispatched to it since that checkpoint are reported as a
-  :class:`ShardLoss` so the engine can widen its error bounds by exactly
-  the unaccounted weight;
-* a :class:`~repro.core.faults.FaultPlan` can be attached to fire
-  deterministic worker kills and IPC delays at scheduled batch indices -
-  the hook the fault-injection suite drives.
+  dispatched since, so the engine's output matches the failure-free run
+  exactly.  ``degrade`` abandons the shard: the run continues on the
+  survivors and the last checkpoint stands in for the lost shard at merge
+  time.  The driver's loss ledger turns "dispatched minus that checkpoint's
+  total" into the :class:`ShardLoss` report.
 
 The journal/checkpoint bookkeeping only runs under the recovering policies;
-``fail`` adds no per-batch state over the unsupervised engine.
+``fail`` adds no per-batch state.
 """
 
 from __future__ import annotations
@@ -102,17 +93,16 @@ class SupervisorPolicy:
 
 @dataclass
 class ShardLoss:
-    """The quantified damage of one abandoned shard (``degrade`` policy).
+    """The quantified damage of one replica whose state lags its dispatched weight.
 
     Attributes:
-        shard: index of the lost shard.
-        lost_packets: total weight dispatched to the shard that no surviving
-            state accounts for (updates since its last checkpoint, plus
-            everything routed to it after the failure).
+        shard: index of the replica (shard or switch).
+        lost_packets: total weight dispatched to the replica that no
+            surviving state accounts for.
         exitcode: the dead worker's exitcode (``-9`` for SIGKILL), or
-            ``None`` for a hang.
-        at_batch: engine batch index at which the failure was detected, when
-            known.
+            ``None`` for a hang or a switch.
+        at_batch: batch index at which a worker failure was detected, or
+            the epoch of a switch's last stored contribution, when known.
         reason: the failure message.
     """
 
@@ -205,8 +195,6 @@ class ShardSupervisor:
             handed to every worker.
         policy: the :class:`SupervisorPolicy` in force.
         start_method: multiprocessing start method (default ``"spawn"``).
-        fault_plan: optional :class:`~repro.core.faults.FaultPlan` whose
-            ``kill``/``delay`` events fire at :meth:`begin_batch`.
     """
 
     def __init__(
@@ -216,21 +204,21 @@ class ShardSupervisor:
         policy: Optional[SupervisorPolicy] = None,
         *,
         start_method: str = "spawn",
-        fault_plan=None,
     ) -> None:
         self._specs = list(shard_specs)
         self._hierarchy_payload = hierarchy_payload
         self._policy = policy or SupervisorPolicy()
         self._context = multiprocessing.get_context(start_method)
-        self._fault_plan = fault_plan
         count = len(self._specs)
         self._workers: List[Optional[Tuple[Any, Any]]] = [None] * count
-        #: Per-shard journal of (message, weight) dispatched since the last
+        #: Per-shard journal of messages dispatched since the last
         #: supervision checkpoint (recovering policies only).
-        self._journals: List[List[Tuple[tuple, int]]] = [[] for _ in range(count)]
+        self._journals: List[List[tuple]] = [[] for _ in range(count)]
         #: Per-shard last supervision checkpoint (capture_runtime_state dict).
         self._recovery: List[Optional[dict]] = [None] * count
-        self._losses: Dict[int, ShardLoss] = {}
+        #: Per dead shard: the failure that killed it and the batch it was
+        #: detected at.
+        self._failures: Dict[int, Tuple[ShardFailure, Optional[int]]] = {}
         self._dead: set = set()
         self._closed = False
 
@@ -316,10 +304,6 @@ class ShardSupervisor:
             raise AlgorithmError(
                 f"{len(failures)} shard workers failed during close: {summary}"
             )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------------ #
     # IPC primitives: poll-based waits with liveness
@@ -413,22 +397,7 @@ class ShardSupervisor:
     # batch dispatch
     # ------------------------------------------------------------------ #
 
-    def begin_batch(self, batch_index: int) -> None:
-        """Fire the fault plan's scheduled kills/delays before dispatching."""
-        if self._fault_plan is None:
-            return
-        for shard in self._fault_plan.kills_at(batch_index):
-            self._kill_worker(shard)
-        for shard, seconds in self._fault_plan.delays_at(batch_index):
-            if shard in self._dead or self._workers[shard] is None:
-                continue
-            try:
-                self._send_raw(shard, ("delay", float(seconds)))
-                self._await_ok(shard)
-            except ShardFailure as failure:
-                self._handle_failure(shard, failure, at_batch=batch_index)
-
-    def _kill_worker(self, shard: int) -> None:
+    def kill(self, shard: int) -> None:
         """SIGKILL a worker (fault injection); death is *discovered* later."""
         entry = self._workers[shard]
         if entry is None or shard in self._dead:
@@ -438,18 +407,27 @@ class ShardSupervisor:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=5.0)
 
-    def send_update(self, shard: int, message: tuple, weight: int, at_batch: int) -> bool:
+    def delay(self, shard: int, seconds: float, at_batch: int) -> None:
+        """Have a worker sleep before acknowledging (fault injection)."""
+        if shard in self._dead or self._workers[shard] is None:
+            return
+        try:
+            self._send_raw(shard, ("delay", float(seconds)))
+            self._await_ok(shard)
+        except ShardFailure as failure:
+            self._handle_failure(shard, failure, at_batch=at_batch)
+
+    def send_update(self, shard: int, message: tuple, at_batch: int) -> bool:
         """Dispatch one update command; ``True`` when an ack is now pending.
 
-        ``False`` means no ack will arrive: the shard is degraded-dead (the
-        weight is added to its recorded loss) or the dispatch failed and
-        restart recovery already applied the message via journal replay.
+        ``False`` means no ack will arrive: the shard is dead, or the
+        dispatch failed and restart recovery already applied the message
+        via journal replay.
         """
         if shard in self._dead:
-            self._record_additional_loss(shard, weight)
             return False
         if self._policy.recovers:
-            self._journals[shard].append((message, weight))
+            self._journals[shard].append(message)
         _, conn = self._workers[shard]
         try:
             conn.send(message)
@@ -497,18 +475,16 @@ class ShardSupervisor:
         if self._policy.policy == "restart":
             try:
                 self._recover(shard)
+                return
             except Exception as exc:
-                self._dead.add(shard)
-                self._workers[shard] = None
+                self._abandon(shard, failure, at_batch)
                 raise ShardFailure(
                     f"shard worker failed (shard {shard}): restart recovery failed: {exc}",
                     shard=shard,
                     exitcode=failure.exitcode,
                 ) from exc
-        elif self._policy.policy == "degrade":
-            self._degrade(shard, failure, at_batch)
-        else:
-            self._dead.add(shard)
+        self._abandon(shard, failure, at_batch)
+        if self._policy.policy == "fail":
             raise failure
 
     def _reap(self, shard: int) -> None:
@@ -543,45 +519,27 @@ class ShardSupervisor:
         if self._recovery[shard] is not None:
             self._send_raw(shard, ("restore", self._recovery[shard]))
             self._await_ok(shard)
-        for message, _ in self._journals[shard]:
+        for message in self._journals[shard]:
             self._send_raw(shard, message)
             self._await_ok(shard)
 
-    def _degrade(self, shard: int, failure: ShardFailure, at_batch: Optional[int]) -> None:
-        """Abandon a shard: record its unaccounted weight, keep its checkpoint."""
-        lost = sum(weight for _, weight in self._journals[shard])
+    def _abandon(self, shard: int, failure: ShardFailure, at_batch: Optional[int]) -> None:
+        """Give a shard up for dead; its last checkpoint is all that survives."""
         self._journals[shard] = []
         self._dead.add(shard)
         self._workers[shard] = None
-        self._losses[shard] = ShardLoss(
-            shard=shard,
-            lost_packets=lost,
-            exitcode=failure.exitcode,
-            at_batch=at_batch,
-            reason=str(failure),
-        )
-
-    def _record_additional_loss(self, shard: int, weight: int) -> None:
-        loss = self._losses.get(shard)
-        if loss is None:  # pragma: no cover - defensive
-            self._losses[shard] = ShardLoss(shard, weight, None, None, "shard already lost")
-        else:
-            loss.lost_packets += weight
+        self._failures[shard] = (failure, at_batch)
 
     # ------------------------------------------------------------------ #
     # supervision checkpoints
     # ------------------------------------------------------------------ #
 
     def maybe_checkpoint(self, batch_index: int) -> None:
-        """Take the periodic recovery snapshot when the batch index is due."""
+        """Snapshot every live shard and clear the journals when the batch index is due."""
         if not self._policy.recovers:
             return
         if (batch_index + 1) % self._policy.checkpoint_every:
             return
-        self.checkpoint_now(at_batch=batch_index)
-
-    def checkpoint_now(self, at_batch: Optional[int] = None) -> None:
-        """Snapshot every live shard's runtime state and clear the journals."""
         for shard in range(len(self._specs)):
             if shard in self._dead:
                 continue
@@ -589,7 +547,7 @@ class ShardSupervisor:
                 self._send_raw(shard, ("checkpoint", None))
                 state = self._await_ok(shard)
             except ShardFailure as failure:
-                self._handle_failure(shard, failure, at_batch=at_batch)
+                self._handle_failure(shard, failure, at_batch=batch_index)
                 if shard in self._dead:
                     continue
                 self._send_raw(shard, ("checkpoint", None))
@@ -656,13 +614,16 @@ class ShardSupervisor:
                     states.append((attrs.get("_total", 0), copy.deepcopy(counters)))
         return states
 
-    def losses(self) -> List[ShardLoss]:
-        """The :class:`ShardLoss` report of every abandoned shard."""
-        return [self._losses[shard] for shard in sorted(self._losses)]
+    def dead_account(self, shard: int) -> Tuple[int, Optional[int], Optional[int], str]:
+        """``(accounted weight, exitcode, detection batch, reason)`` of a dead shard.
 
-    def lost_packets(self) -> int:
-        """Total weight no surviving or checkpointed state accounts for."""
-        return sum(loss.lost_packets for loss in self._losses.values())
+        The accounted weight is the total of its last supervision checkpoint
+        (0 without one), the state :meth:`merge_states` substitutes for it.
+        """
+        checkpoint = self._recovery[shard]
+        accounted = checkpoint.get("attrs", {}).get("_total", 0) if checkpoint else 0
+        failure, at_batch = self._failures[shard]
+        return accounted, failure.exitcode, at_batch, str(failure)
 
     def is_failed(self, shard: int) -> bool:
         return shard in self._dead
@@ -670,10 +631,6 @@ class ShardSupervisor:
     @property
     def failed_shards(self) -> List[int]:
         return sorted(self._dead)
-
-    @property
-    def policy(self) -> SupervisorPolicy:
-        return self._policy
 
     def worker_pids(self) -> Dict[int, int]:
         """Pid of every live worker (tests use this to aim hostile signals)."""

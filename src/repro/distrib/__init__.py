@@ -6,11 +6,12 @@ proportionally-sized local replicas and periodically ship compressed counter
 state as versioned wire messages (:mod:`repro.distrib.wire`, framed in the
 checkpoint layer's checksummed container) over a
 :class:`~repro.distrib.transport.Transport` (reliable loopback, or a seeded
-fault-plan-driven lossy queue); an :class:`~repro.distrib.aggregator.Aggregator`
-merges the contributions with the counter ``merge()`` protocol and serves
-the global ``output(theta)`` with bounds widened by quantified loss.
-:class:`~repro.distrib.cluster.DistributedCluster` packages the whole
-deployment behind the ordinary algorithm interface, so a
+fault-plan-driven lossy queue) to an
+:class:`~repro.distrib.aggregator.Aggregator` that stores the contributions.
+:class:`~repro.distrib.cluster.DistributedCluster` is the replica driver of
+:mod:`repro.core.shard` over that fleet: it merges the contributions and
+serves the global ``output(theta)`` with bounds widened by quantified loss,
+behind the ordinary algorithm interface, so a
 :class:`~repro.api.session.Session` with ``ExperimentSpec(distrib=...)``
 drives a 100-switch fleet the same way it drives one instance.
 """

@@ -1,40 +1,31 @@
-"""The aggregator: stores epoch-aligned switch contributions, serves one answer.
+"""The aggregator: stores epoch-aligned switch contributions for the merge.
 
 The receiving half of the distributed tier.  An :class:`Aggregator` keeps,
 per switch, the newest contribution it accepted (decoded wire state, as
-plain data) and answers queries through the sharded engine's
-:class:`~repro.core.shard.LatticeMerger`, with the decoded contributions as
-the replica states.
-
-Any weight the cluster dispatched to a switch that its stored contribution
-does not account for - the switch died, its message was dropped or is still
-in flight, or it has not emitted since - is lost weight exactly like a
-degraded shard's: bounds widen by it and a per-switch
-:class:`~repro.core.supervise.ShardLoss` rides along on ``failed_shards``.
-Lossy compression keeps bounds sound too: truncation only ever raises upper
-bounds (the folded residual), never lower bounds.
+plain data) and hands the decoded contributions to the replica driver's
+:class:`~repro.core.shard.LatticeMerger` as the replica states.  Lossy
+compression keeps bounds sound: truncation only ever raises upper bounds
+(the folded residual), never lower bounds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.api.specs import AlgorithmSpec
-from repro.core.base import HHHOutput
-from repro.core.shard import LatticeMerger, ReplicaState
-from repro.core.supervise import ShardLoss
+from repro.core.shard import ReplicaState, per_shard_algorithm_spec
 from repro.distrib import compress, wire
 from repro.exceptions import AlgorithmError, ConfigurationError, WireFormatError
 from repro.hierarchy.base import Hierarchy
 
 
 class Aggregator:
-    """Merges switch contributions and serves the global ``output(theta)``.
+    """Verifies, decodes and stores switch contributions.
 
     Args:
-        algorithm: the cluster-level algorithm spec; the merger builds a
-            replica-shaped template from it (same per-switch sizing as the
-            switches, so merged capacities line up).
+        algorithm: the cluster-level algorithm spec; the expected wire
+            geometry is that of a replica built from it (same per-switch
+            sizing as the switches, so merged capacities line up).
         hierarchy: the shared hierarchical domain.
         switches: cluster size.
         top_k: the compression policy in force, part of the expected wire
@@ -51,11 +42,14 @@ class Aggregator:
     ) -> None:
         if not isinstance(switches, int) or isinstance(switches, bool) or switches < 1:
             raise ConfigurationError(f"switches must be a positive integer, got {switches!r}")
+        from repro.api.registry import build_algorithm
+
         self._switches = switches
         self._hierarchy = hierarchy
-        self._merger = LatticeMerger(algorithm, hierarchy, switches)
-        self._template = self._merger.template
-        self._expected_geometry = wire.algorithm_geometry(self._template, hierarchy, top_k=top_k)
+        replica = build_algorithm(
+            per_shard_algorithm_spec(algorithm, algorithm.seed, switches), hierarchy
+        )
+        self._expected_geometry = wire.algorithm_geometry(replica, hierarchy, top_k=top_k)
         #: per switch: the newest accepted contribution, as plain wire state.
         self._contributions: Dict[int, Dict[str, Any]] = {}
         #: per switch: decoded counters, reused as merge *arguments* (merge
@@ -82,6 +76,11 @@ class Aggregator:
         """The epoch of the stored contribution of ``switch`` (``None`` if none)."""
         stored = self._contributions.get(switch)
         return None if stored is None else stored["epoch"]
+
+    def contribution_total(self, switch: int) -> int:
+        """The weight the stored contribution of ``switch`` accounts for (0 if none)."""
+        stored = self._contributions.get(switch)
+        return 0 if stored is None else stored["total"]
 
     def ingest(self, raw: bytes) -> Optional[Tuple[int, int]]:
         """Verify, decode and store one wire message.
@@ -138,13 +137,13 @@ class Aggregator:
         return switch, epoch
 
     # ------------------------------------------------------------------ #
-    # the merge reduction and the global query
+    # the merger's replica states
     # ------------------------------------------------------------------ #
 
     def _decode(self, switch: int) -> List:
         return [wire.decode_counter_state(state) for state in self._contributions[switch]["nodes"]]
 
-    def _states(self, fresh: bool) -> List[ReplicaState]:
+    def states(self, fresh: bool) -> List[ReplicaState]:
         """Decoded contributions in switch-id order (the merger's replica states).
 
         The first switch's counters become the merge target, so they are
@@ -166,52 +165,8 @@ class Aggregator:
             states.append((self._contributions[switch]["total"], decoded[switch]))
         return states
 
-    def merged_counters(self) -> Tuple[List, int]:
-        """Reduce the stored contributions: ``(per-node counters, accounted total)``."""
-        return self._merger.merged_counters(self._states, live=False)
-
-    def output(
-        self, theta: float, *, dispatched_totals: Optional[Dict[int, int]] = None
-    ) -> HHHOutput:
-        """Merge the cluster and run the algorithm's Output on the result.
-
-        ``dispatched_totals`` maps each switch to the weight the cluster
-        actually routed to it; any excess over what the stored contributions
-        account for is quantified loss (see the module docstring).  Without
-        it the aggregator trusts the contributions alone (loss invisible to
-        it is then unaccounted - the cluster always passes the totals).
-
-        Every node is keyed on the exact ``(switch, epoch)`` contribution
-        set, so an unchanged set reuses the previous merge outright;
-        ``_merger.cache = None`` forces the from-scratch reference path.
-        """
-        losses: List[ShardLoss] = []
-        for switch in sorted(dispatched_totals or {}):
-            stored = self._contributions.get(switch)
-            held = stored["total"] if stored is not None else 0
-            missing = int(dispatched_totals[switch]) - held
-            if missing > 0:
-                losses.append(
-                    ShardLoss(
-                        shard=switch,
-                        lost_packets=missing,
-                        exitcode=None,
-                        at_batch=None if stored is None else stored["epoch"],
-                        reason=(
-                            "no contribution ever delivered"
-                            if stored is None
-                            else f"last contribution at epoch {stored['epoch']}"
-                        ),
-                    )
-                )
-        loss = (sum(entry.lost_packets for entry in losses), losses)
-        signature = tuple(
+    def signature(self) -> Hashable:
+        """The exact ``(switch, epoch)`` contribution set; equal means an unchanged merge."""
+        return tuple(
             sorted((switch, state["epoch"]) for switch, state in self._contributions.items())
-        )
-        return self._merger.output(
-            theta,
-            [signature] * self._hierarchy.size,
-            self._states,
-            lambda: loss,
-            live=False,
         )

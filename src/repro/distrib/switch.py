@@ -1,20 +1,19 @@
 """The per-switch half of the distributed tier: local state, periodic emission.
 
 A :class:`SwitchNode` is one simulated vswitch: a replica of the
-deployment's algorithm built exactly like a serial shard of
-:class:`~repro.core.shard.ShardedHHH` (spawned seed, divided memory budget),
-fed the sub-stream of keys routed to it, which once per epoch emits its
-counter state as a framed wire message - compressed by the policy in force
-(top-k truncation, delta encoding against the last epoch the aggregator
-acknowledged).
+deployment's algorithm built from the same per-replica spec as any
+:class:`~repro.core.shard.ShardedHHH` replica (spawned seed, divided memory
+budget), fed the sub-stream of keys routed to it, which once per epoch emits
+its counter state as a framed wire message - compressed by the policy in
+force (top-k truncation, delta encoding against the last epoch the
+aggregator acknowledged).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.api.specs import AlgorithmSpec
-from repro.core.shard import per_shard_algorithm_spec
 from repro.distrib import compress, wire
 
 
@@ -23,9 +22,7 @@ class SwitchNode:
 
     Args:
         switch_id: this switch's id in the cluster (the wire ``switch`` field).
-        algorithm: the cluster-level algorithm spec.
-        seed: this switch's spawned RNG seed.
-        switches: cluster size (drives the per-replica memory division).
+        spec: this switch's replica spec (spawned seed, divided memory budget).
         hierarchy: the shared hierarchical domain instance.
         top_k: per-node truncation limit shipped state is compressed to.
         delta: delta-encode against the last acked epoch when possible.
@@ -34,9 +31,7 @@ class SwitchNode:
     def __init__(
         self,
         switch_id: int,
-        algorithm: AlgorithmSpec,
-        seed: Optional[int],
-        switches: int,
+        spec: AlgorithmSpec,
         *,
         hierarchy,
         top_k: Optional[int] = None,
@@ -47,9 +42,7 @@ class SwitchNode:
         self._id = int(switch_id)
         self._top_k = top_k
         self._delta = bool(delta)
-        self._algorithm = build_algorithm(
-            per_shard_algorithm_spec(algorithm, seed, switches), hierarchy
-        )
+        self._algorithm = build_algorithm(spec, hierarchy)
         self._geometry = wire.algorithm_geometry(self._algorithm, hierarchy, top_k=top_k)
         #: compressed node states of epochs emitted but not yet acked.
         self._pending: Dict[int, List[Dict[str, Any]]] = {}
@@ -81,14 +74,6 @@ class SwitchNode:
     def geometry(self) -> Dict[str, Any]:
         """The wire geometry this switch stamps on every message."""
         return dict(self._geometry)
-
-    def observe(self, keys: Sequence, weights=None) -> None:
-        """Feed a batch of this switch's sub-stream into the local algorithm."""
-        self._algorithm.update_batch(keys, weights)
-
-    def observe_one(self, key, weight: int = 1) -> None:
-        """Feed one packet (the per-packet route)."""
-        self._algorithm.update(key, weight)
 
     # ------------------------------------------------------------------ #
     # emission protocol

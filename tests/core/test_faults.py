@@ -26,7 +26,9 @@ their replicas from pickled specs, never from test-local state.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import re
 import signal
 import time
 
@@ -35,11 +37,12 @@ import pytest
 
 from repro.api.registry import make_hierarchy
 from repro.api.session import Session
-from repro.api.specs import AlgorithmSpec, ExperimentSpec
+from repro.api.specs import AlgorithmSpec, DistribSpec, ExperimentSpec
 from repro.core.faults import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.core.ingest import RingBufferIngest
-from repro.core.shard import ShardedHHH
+from repro.core.shard import ShardedHHH, partition_batch
 from repro.core.supervise import SupervisorPolicy
+from repro.distrib.cluster import DistributedCluster
 from repro.eval.ground_truth import GroundTruth
 from repro.eval.metrics import evaluate_output
 from repro.exceptions import (
@@ -171,6 +174,30 @@ class TestFaultPlanMechanics:
     def test_random_rejects_overfull_schedules(self):
         with pytest.raises(ConfigurationError, match="cannot schedule"):
             FaultPlan.random(1, batches=2, shards=2, kills=3)
+
+
+class TestOutOfRangeTargets:
+    """``kill``/``delay`` events aimed past the last replica are refused up front."""
+
+    @pytest.mark.parametrize("kind", ["kill", "delay"])
+    @pytest.mark.parametrize("engine", ["serial", "pool", "cluster"])
+    def test_every_engine_rejects_them_before_any_worker_spawns(self, engine, kind):
+        # Regression: the pool raised a bare IndexError at the scheduled
+        # batch and the cluster dropped the event silently.
+        plan = FaultPlan([FaultEvent(kind, 1, shard=5, seconds=0.1 if kind == "delay" else 0.0)])
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="targets shard 5"):
+            if engine == "cluster":
+                spec = ExperimentSpec(
+                    algorithm=RHHH_SPEC,
+                    hierarchy="2d-bytes",
+                    batch_size=2_000,
+                    distrib=DistribSpec(switches=2),
+                )
+                DistributedCluster(spec, fault_plan=plan)
+            else:
+                ShardedHHH(RHHH_SPEC, "2d-bytes", 2, parallel=engine == "pool", fault_plan=plan)
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestIngestAndTraceInjection:
@@ -442,6 +469,28 @@ class TestDegradePolicy:
         # The lost weight widens every candidate's upper bound.
         for candidate in output:
             assert candidate.upper_bound - candidate.lower_bound >= loss.lost_packets
+
+    def test_loss_ledger_is_exactly_the_weight_routed_since_the_last_checkpoint(self):
+        batches = _batches()
+        plan = FaultPlan([FaultEvent("kill", 3, shard=1)])
+        policy = SupervisorPolicy(policy="degrade", timeout=10.0, checkpoint_every=2)
+        with ShardedHHH(
+            RHHH_SPEC, "2d-bytes", 2, parallel=True, supervisor=policy, fault_plan=plan
+        ) as engine:
+            for batch in batches:
+                engine.update_batch(batch)
+            output = engine.output(THETA)
+        # The last supervision checkpoint holding shard 1 ran after batch 1,
+        # so every packet routed to it from batch 2 on is unaccounted.
+        routed = sum(len(partition_batch(batch, None, 2)[1][0]) for batch in batches[2:])
+        [loss] = output.failed_shards
+        assert loss.lost_packets == routed
+        assert (loss.shard, loss.exitcode, loss.at_batch) == (1, -signal.SIGKILL, 3)
+        assert re.fullmatch(
+            r"shard worker failed \(shard 1, pid \d+\): its pipe broke during dispatch "
+            r"\(exitcode -9\)",
+            loss.reason,
+        )
 
     def test_single_shard_lost_before_any_checkpoint_has_no_state(self):
         plan = FaultPlan([FaultEvent("kill", 0, shard=0)])

@@ -6,8 +6,8 @@ bounds, same conditioned estimates - over interleaved update/query streams.
 Every engine exposes a scratch toggle for exactly this comparison:
 
 * core lattice algorithms: ``algorithm._output_cache = None``;
-* the sharded engine and the distributed aggregator share one merger:
-  ``engine._merger.cache = None`` and ``aggregator._merger.cache = None``.
+* the replica driver (the sharded engine and the distributed cluster):
+  ``engine._merger.cache = None``.
 
 The suite drives each engine over seeded Zipf-like and DDoS streams with a
 query after every chunk, pins repeated-query idempotence (including the
@@ -126,7 +126,7 @@ class TestIncrementalParity:
         )
         incremental = DistributedCluster(spec)
         scratch = DistributedCluster(spec)
-        scratch.aggregator._merger.cache = None
+        scratch._merger.cache = None
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
             incremental.update_batch(chunk)
@@ -206,10 +206,10 @@ class TestRepeatedQueryIdempotence:
         # The query flushed the partial epoch; the state it answered from is
         # now stable, so repeats must be pinned identical (the merge cache
         # short-circuits on the unchanged contribution signature).
-        assert cluster._batches_since_epoch == 0
+        assert cluster._replicas._batches_since_epoch == 0
         for _ in range(3):
             assert _output_state(cluster.output(0.1)) == _output_state(first)
-        template = cluster.aggregator._template
+        template = cluster._template
         assert template._total == 0
 
     def test_aggregator_restores_template_between_thetas(self):
@@ -222,12 +222,12 @@ class TestRepeatedQueryIdempotence:
         )
         cluster = DistributedCluster(spec)
         cluster.update_batch(keys[:CHUNK])
-        saved_counters = cluster.aggregator._template._counters
+        saved_counters = cluster._template._counters
         first = _output_state(cluster.output(0.1))
         cluster.output(0.05)
         # Different theta in between must not disturb the 0.1 pass.
         assert _output_state(cluster.output(0.1)) == first
-        assert cluster.aggregator._template._counters is saved_counters
+        assert cluster._template._counters is saved_counters
 
 
 class TestEmptyStreamOutput:

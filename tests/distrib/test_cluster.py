@@ -23,7 +23,7 @@ from repro.core.faults import FaultEvent, FaultPlan
 from repro.core.shard import ShardedHHH
 from repro.distrib.cluster import DistributedCluster
 from repro.eval.ground_truth import GroundTruth
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.traffic.zipf import ZipfFlowGenerator
 
 SWITCHES = 4
@@ -164,18 +164,38 @@ class TestSoundnessUnderFaults:
         _, clean, _ = self._run(faults=False)
         assert not clean.failed_shards
 
-    def test_quantified_loss_widens_the_upper_bounds_by_exactly_the_loss(self):
+    def test_quantified_loss_widens_the_upper_bounds_by_exactly_the_loss(self, monkeypatch):
         cluster, output, _ = self._run()
         total_lost = sum(loss.lost_packets for loss in output.failed_shards)
         assert total_lost > 0
         # same merged state, loss accounting switched off: the uppers must
         # sit exactly `total_lost` below the widened ones
-        unwidened = cluster.aggregator.output(0.02)
+        monkeypatch.setattr(cluster, "_loss", lambda: (0, []))
+        unwidened = cluster.output(0.02)
         bare = {c.prefix.key(): c.upper_bound for c in unwidened.candidates}
         for candidate in output.candidates:
             key = candidate.prefix.key()
             if key in bare:
                 assert candidate.upper_bound == bare[key] + total_lost
+
+
+class TestCheckpointRefusal:
+    def test_session_checkpoint_raises_instead_of_writing_an_empty_snapshot(self, tmp_path):
+        # Regression: the cluster's checkpoint fell through to the plain
+        # algorithm snapshot, which holds only the total, and the resumed
+        # session failed on its first query.
+        spec = ExperimentSpec(
+            algorithm=AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=7),
+            hierarchy="1d-bytes",
+            batch_size=BATCH,
+            distrib=DistribSpec(switches=3),
+        )
+        path = tmp_path / "cluster.ckpt"
+        with Session(spec, keys=_keys(61, packets=20_000, dims=1)) as session:
+            session.feed()
+            with pytest.raises(CheckpointError, match="cannot be checkpointed"):
+                session.checkpoint(path)
+        assert not path.exists()
 
 
 class TestBandwidthReport:
