@@ -21,9 +21,10 @@ guarantees) whenever it fits; otherwise the cheapest fitting sketch wins.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import ConfigurationError
+from repro.hh.conservative_update import ConservativeCountMin
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
 
@@ -53,8 +54,15 @@ AUTO_CANDIDATES: Tuple[str, ...] = (
     "count_sketch",
 )
 
+#: The sketch backends; each prices the table its own class builds.
+_SKETCH_CLASSES: Dict[str, Type[CountMinSketch]] = {
+    "count_min": CountMinSketch,
+    "conservative_count_min": ConservativeCountMin,
+    "count_sketch": CountSketch,
+}
+
 #: Backends that keep a tracked-keys set, the one bounded by ``track``.
-TRACKING_BACKENDS: Tuple[str, ...] = ("count_min", "conservative_count_min", "count_sketch")
+TRACKING_BACKENDS: Tuple[str, ...] = tuple(_SKETCH_CLASSES)
 
 
 def _tracked_keys(epsilon: float, track: Optional[int]) -> int:
@@ -94,24 +102,12 @@ def estimate_counter_memory(
         return entries * ARRAY_SPACE_SAVING_BYTES_PER_COUNTER
     if name in ("misra_gries", "lossy_counting"):
         return entries * DICT_ENTRY_BYTES
-    if name in ("count_min", "conservative_count_min"):
-        # Geometry comes from the sketch class itself, so the estimate prices
-        # exactly the table the constructor builds.
-        table = (
-            CountMinSketch.derived_depth(delta)
-            * CountMinSketch.derived_width(epsilon)
-            * SKETCH_CELL_BYTES
-        )
-        return table + _tracked_keys(epsilon, track) * DICT_ENTRY_BYTES
-    if name == "count_sketch":
-        # derived_depth includes the odd-depth bump CountSketch.__init__
-        # applies, so an even ceil(ln 1/delta) cannot under-count the table
-        # by one full row.
-        table = (
-            CountSketch.derived_depth(delta)
-            * CountSketch.derived_width(epsilon)
-            * SKETCH_CELL_BYTES
-        )
+    sketch = _SKETCH_CLASSES.get(name)
+    if sketch is not None:
+        # Geometry comes from the sketch class itself (derived_depth includes
+        # the Count Sketch's odd-depth bump), so the estimate prices exactly
+        # the table the constructor builds.
+        table = sketch.derived_depth(delta) * sketch.derived_width(epsilon) * SKETCH_CELL_BYTES
         return table + _tracked_keys(epsilon, track) * DICT_ENTRY_BYTES
     if name == "exact":
         raise ConfigurationError("the 'exact' counter has no bounded memory footprint")

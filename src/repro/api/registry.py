@@ -241,8 +241,7 @@ def _build_lossy_counting(*, epsilon: float) -> CounterAlgorithm:
     return LossyCounting(epsilon=epsilon)
 
 
-@register_counter("count_min")
-def _build_count_min(
+def _sketch_kwargs(
     *,
     epsilon: float,
     delta: Optional[float] = None,
@@ -250,40 +249,24 @@ def _build_count_min(
     depth: Optional[int] = None,
     track: Optional[int] = None,
     seed: Optional[int] = None,
-) -> CounterAlgorithm:
-    return CountMinSketch(
-        epsilon, **_pruned(delta=delta, width=width, depth=depth, track=track, seed=seed)
-    )
+) -> Dict[str, Any]:
+    """The one factory signature of the three sketch backends, as constructor kwargs."""
+    return {"epsilon": epsilon, **_pruned(delta=delta, width=width, depth=depth, track=track, seed=seed)}
+
+
+@register_counter("count_min")
+def _build_count_min(**params: Any) -> CounterAlgorithm:
+    return CountMinSketch(**_sketch_kwargs(**params))
 
 
 @register_counter("count_sketch")
-def _build_count_sketch(
-    *,
-    epsilon: float,
-    delta: Optional[float] = None,
-    width: Optional[int] = None,
-    depth: Optional[int] = None,
-    track: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> CounterAlgorithm:
-    return CountSketch(
-        epsilon, **_pruned(delta=delta, width=width, depth=depth, track=track, seed=seed)
-    )
+def _build_count_sketch(**params: Any) -> CounterAlgorithm:
+    return CountSketch(**_sketch_kwargs(**params))
 
 
 @register_counter("conservative_count_min")
-def _build_conservative(
-    *,
-    epsilon: float,
-    delta: Optional[float] = None,
-    width: Optional[int] = None,
-    depth: Optional[int] = None,
-    track: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> CounterAlgorithm:
-    return ConservativeCountMin(
-        epsilon, **_pruned(delta=delta, width=width, depth=depth, track=track, seed=seed)
-    )
+def _build_conservative(**params: Any) -> CounterAlgorithm:
+    return ConservativeCountMin(**_sketch_kwargs(**params))
 
 
 @register_counter("exact")

@@ -196,12 +196,16 @@ def coerce_key_array(keys: Sequence, n: int) -> Optional[np.ndarray]:
 
 
 def check_weight(weight: int) -> None:
-    """Reject a per-packet weight below 1.
+    """Reject a per-packet weight that is fractional or below 1.
 
-    The guarantees assume an insert-only stream: a zero or negative weight
-    would fold into a positive aggregate (or fail half-way through an
-    update), so engines call this before any state moves.
+    The guarantees assume an insert-only stream of whole arrivals: a zero or
+    negative weight would fold into a positive aggregate (or fail half-way
+    through an update), and the batch path counts in int64, so a fractional
+    weight would count differently per packet and per batch.  Engines call
+    this before any state moves.
     """
+    if not isinstance(weight, (int, np.integer)) and not float(weight).is_integer():
+        raise ConfigurationError(f"weights must be whole numbers, got {weight}")
     if weight < 1:
         raise ConfigurationError(f"weights must be >= 1, got {weight}")
 
@@ -213,16 +217,21 @@ def coerce_weights(
 
     ``weights=None`` stands for unit weights: the array stays ``None`` (the
     aggregation paths special-case it into plain counting) and the total is
-    the batch length.  Every weight must be at least 1 (see
-    :func:`check_weight`); callers validate before any RNG draw or update.
+    the batch length.  Every weight must be a whole number of at least 1
+    (see :func:`check_weight`); callers validate before any RNG draw or
+    update.  Integer arrays skip the whole-number scan.
     """
     if weights is None:
         return None, n
-    weights_arr = np.asarray(weights, dtype=np.int64)
+    weights_arr = np.asarray(weights)
     if len(weights_arr) != n:
         raise ConfigurationError(
             f"weights length ({len(weights_arr)}) does not match keys length ({n})"
         )
+    if weights_arr.dtype.kind not in "iu":
+        for weight in weights_arr.tolist():
+            check_weight(weight)
+    weights_arr = weights_arr.astype(np.int64, copy=False)
     if n:
         check_weight(int(weights_arr.min()))
     return weights_arr, int(weights_arr.sum())

@@ -46,7 +46,7 @@ from repro.core.checkpoint import apply_runtime_state, capture_runtime_state
 from repro.core.output import LatticeHHH, OutputCache
 from repro.core.supervise import ShardLoss, ShardSupervisor, SupervisorPolicy
 from repro.exceptions import AlgorithmError, CheckpointError, ConfigurationError
-from repro.hh.base import FrequencyEstimator
+from repro.hh.base import FrequencyEstimator, unmergeable_error
 from repro.hierarchy.base import Hierarchy
 
 _MASK64 = (1 << 64) - 1
@@ -231,11 +231,7 @@ class LatticeMerger:
             )
         probe = self.template.node_counter(0)
         if type(probe).merge is FrequencyEstimator.merge:
-            raise ConfigurationError(
-                f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, array_space_saving, "
-                "misra_gries, count_min, count_sketch)"
-            )
+            raise unmergeable_error(probe)
         self._disjoint = [hierarchy.node_level(node) == 0 for node in range(hierarchy.size)]
         self._nodes: List[Optional[Tuple[Hashable, object]]] = [None] * hierarchy.size
         self._total: Optional[Tuple[tuple, int]] = None

@@ -4,9 +4,12 @@ This sub-package provides the counter-algorithm substrate required by the
 RHHH paper (Definition 4 and 5): every algorithm here solves the
 ``(epsilon, delta)``-Frequency Estimation problem and can enumerate its heavy
 hitters.  The paper's implementation uses Space Saving [Metwally et al. 2005];
-we additionally provide Misra-Gries, Lossy Counting, Count-Min Sketch,
-Count Sketch and a conservative-update Count-Min variant so that the choice of
-the underlying counter can be ablated.
+we additionally provide Misra-Gries, Lossy Counting and the sketches so that
+the choice of the underlying counter can be ablated.  The sketches share one
+core, :class:`~repro.hh.count_min.CountMinSketch` (the paper's "sketch +
+heap" construction of Section 3.1); Count Sketch (signed rows, clamped
+median) and the conservative-update Count-Min are small subclasses that
+override only what differs.
 
 All algorithms share the :class:`~repro.hh.base.FrequencyEstimator` interface:
 

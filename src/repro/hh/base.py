@@ -24,6 +24,14 @@ from repro.exceptions import ConfigurationError
 DEFAULT_COUNTER = "array_space_saving"
 
 
+def unmergeable_error(counter: object) -> ConfigurationError:
+    """The error for a counter backend that keeps the protocol-default ``merge``."""
+    return ConfigurationError(
+        f"counter backend {type(counter).__name__} does not implement merge(); "
+        "sharded execution requires a mergeable counter backend"
+    )
+
+
 @dataclass(frozen=True)
 class HeavyHitter:
     """A single heavy-hitter report.
@@ -125,11 +133,7 @@ class FrequencyEstimator(abc.ABC):
             ConfigurationError: when the backend does not support merging or
                 the two summaries' parameters are incompatible.
         """
-        raise ConfigurationError(
-            f"counter backend {type(self).__name__} does not support merge(); "
-            "sharded execution requires a mergeable counter "
-            "(space_saving, array_space_saving, misra_gries, count_min, count_sketch)"
-        )
+        raise unmergeable_error(self)
 
 
 class CounterAlgorithm(FrequencyEstimator):

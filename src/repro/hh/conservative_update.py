@@ -36,7 +36,7 @@ class ConservativeCountMin(CountMinSketch):
         if weight <= 0:
             raise ValueError("weight must be positive")
         self._total += weight
-        cols = self._rows(key)
+        cols, _ = self._cols_signs(key)
         rows = self._row_idx
         current = self._table[rows, cols]
         target = int(current.min()) + weight

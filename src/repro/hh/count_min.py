@@ -8,6 +8,15 @@ dictionary of the current top keys, updated on every insert - this is the
 standard "sketch + heap" heavy-hitter construction mentioned in Section 3.1 of
 the paper.
 
+:class:`CountMinSketch` is the one sketch core: hashing, the table, the
+tracked-key fold, the batch path and its scalar twin, the duplicate-key
+fallback and merge live here once.  Its two variants override only what
+differs: :class:`~repro.hh.count_sketch.CountSketch` adds per-row signs
+(:meth:`CountMinSketch._signs`), combines rows by a clamped median instead of
+the minimum (:meth:`CountMinSketch._combine`) and sizes its table
+differently; :class:`~repro.hh.conservative_update.ConservativeCountMin`
+replaces the update rule.
+
 Batch feeds take a fully vectorized fast path (:meth:`update_aggregated`):
 one universal-hash broadcast for the whole batch, one scatter pass into the
 table, one gather for the batch's estimates, and one argpartition pass to
@@ -21,7 +30,7 @@ maintained **batch-scoped** (all keys admitted, then the strongest
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +49,6 @@ from repro.hh.sketch_batch import (
     track_candidate,
 )
 
-_PRIME = PRIME
-
 
 class CountMinSketch(CounterAlgorithm):
     """Count-Min Sketch with a bounded top-keys dictionary.
@@ -59,6 +66,9 @@ class CountMinSketch(CounterAlgorithm):
     #: unique keys as a numpy array (1-D ints or ``(n, 2)`` pairs) instead of
     #: a Python list, so hashing stays vectorized end to end.
     AGGREGATED_KEY_ARRAYS = True
+
+    #: The hash arrays a merge peer must share (see ``check_same_sketch_family``).
+    _HASH_ATTRS: Tuple[str, ...] = ("_a", "_b")
 
     def __init__(
         self,
@@ -81,10 +91,8 @@ class CountMinSketch(CounterAlgorithm):
         self._epsilon = epsilon
         self._delta = delta
         self._width = width if width is not None else self.derived_width(epsilon)
-        self._depth = depth if depth is not None else self.derived_depth(delta)
-        rng = np.random.default_rng(seed)
-        self._a = rng.integers(1, _PRIME, size=self._depth, dtype=np.uint64)
-        self._b = rng.integers(0, _PRIME, size=self._depth, dtype=np.uint64)
+        self._depth = self._built_depth(depth) if depth is not None else self.derived_depth(delta)
+        self._draw_hashes(np.random.default_rng(seed))
         self._table = np.zeros((self._depth, self._width), dtype=np.int64)
         self._row_idx = np.arange(self._depth)
         self._track_limit = track if track is not None else 2 * int(math.ceil(1.0 / epsilon))
@@ -102,8 +110,18 @@ class CountMinSketch(CounterAlgorithm):
 
     @classmethod
     def derived_depth(cls, delta: float) -> int:
-        """Table depth derived from ``delta`` (``ceil(ln 1/delta)``, floor 1)."""
-        return max(1, int(math.ceil(math.log(1.0 / delta))))
+        """Table depth derived from ``delta`` (``ceil(ln 1/delta)``, floor 1), as built."""
+        return cls._built_depth(max(1, int(math.ceil(math.log(1.0 / delta)))))
+
+    @staticmethod
+    def _built_depth(depth: int) -> int:
+        """The number of rows the table gets for a requested ``depth``."""
+        return depth
+
+    def _draw_hashes(self, rng: np.random.Generator) -> None:
+        """Draw the row hash functions ``((a*h + b) % p) % width``."""
+        self._a = rng.integers(1, PRIME, size=self._depth, dtype=np.uint64)
+        self._b = rng.integers(0, PRIME, size=self._depth, dtype=np.uint64)
 
     @property
     def width(self) -> int:
@@ -115,19 +133,31 @@ class CountMinSketch(CounterAlgorithm):
         """Number of hash rows."""
         return self._depth
 
-    def _rows(self, key: Hashable) -> np.ndarray:
+    def _cols_signs(self, key: Hashable):
+        """One key's column in every row and the sign it adds there with."""
         h = np.uint64(key_hash_scalar(key))
-        return ((self._a * h + self._b) % np.uint64(_PRIME)) % np.uint64(self._width)
+        cols = ((self._a * h + self._b) % np.uint64(PRIME)) % np.uint64(self._width)
+        return cols, self._signs(h)
+
+    def _signs(self, hashed):
+        """Per-row signs of one hash input or an ``(n, 1)`` column of them.
+
+        Count-Min counts unsigned, so every sign is ``1``.
+        """
+        return 1
+
+    def _combine(self, values: np.ndarray):
+        """Combine per-row (signed) counters into estimates along the last axis."""
+        return values.min(axis=-1)
 
     def update(self, key: Hashable, weight: int = 1) -> None:
         if weight <= 0:
             raise ValueError("weight must be positive")
         self._total += weight
-        cols = self._rows(key)
+        cols, signs = self._cols_signs(key)
         rows = self._row_idx
-        self._table[rows, cols] += weight
-        estimate = int(self._table[rows, cols].min())
-        self._track(key, estimate)
+        self._table[rows, cols] += signs * weight
+        self._track(key, int(self._combine(self._table[rows, cols] * signs)))
 
     def _track(self, key: Hashable, estimate: int) -> None:
         track_candidate(self, self._tracked, self._track_limit, key, estimate)
@@ -145,19 +175,18 @@ class CountMinSketch(CounterAlgorithm):
         per-event :meth:`update` replay.  :meth:`update_batch_reference` is
         the scalar specification, bit-identical in both regimes.
         """
-        pairs = list(items)
-        if not pairs:
-            return
-        keys = [key for key, _ in pairs]
-        if len(set(keys)) != len(keys):
-            for key, weight in pairs:
-                self.update(key, int(weight))
-            return
-        weights = np.fromiter((int(weight) for _, weight in pairs), dtype=np.int64, count=len(pairs))
-        self.update_aggregated(keys, weights)
+        self._apply_pairs(items, self.update_aggregated)
 
     def update_batch_reference(self, items: Iterable[Tuple[Hashable, int]]) -> None:
         """Scalar specification of :meth:`update_batch` (pure-Python loops)."""
+        self._apply_pairs(items, self._update_aggregated_scalar)
+
+    def _apply_pairs(
+        self,
+        items: Iterable[Tuple[Hashable, int]],
+        aggregated: Callable[[List[Hashable], List[int]], None],
+    ) -> None:
+        """Route ``(key, weight)`` pairs: ``aggregated`` if the keys are distinct, else replay."""
         pairs = list(items)
         if not pairs:
             return
@@ -166,16 +195,16 @@ class CountMinSketch(CounterAlgorithm):
             for key, weight in pairs:
                 self.update(key, int(weight))
             return
-        self._update_aggregated_scalar(keys, [int(weight) for _, weight in pairs])
+        aggregated(keys, [int(weight) for _, weight in pairs])
 
     def update_aggregated(self, keys: Sequence[Hashable], weights: Sequence[int]) -> None:
         """Vectorized aggregated-batch fast path (distinct keys, positive weights).
 
-        One hash broadcast, one scatter pass into the table, one estimate
-        gather, one argpartition fold into the tracked set - bit-identical
-        to :meth:`_update_aggregated_scalar`.  Keys the vector hash cannot
-        represent (strings, out-of-range pairs) fall back to that scalar
-        twin transparently.
+        One hash broadcast (columns and signs), one scatter pass into the
+        table, one estimate gather, one argpartition fold into the tracked
+        set - bit-identical to :meth:`_update_aggregated_scalar`.  Keys the
+        vector hash cannot represent (strings, out-of-range pairs) fall back
+        to that scalar twin transparently.
         """
         n = len(keys)
         if n == 0:
@@ -189,8 +218,9 @@ class CountMinSketch(CounterAlgorithm):
             raise ValueError("weight must be positive")
         self._total += int(weights_arr.sum())
         cols = hash_columns(hashed, self._a, self._b, self._width)
-        scatter_add(self._table, cols, np.broadcast_to(weights_arr[:, None], cols.shape))
-        estimates = self._table[self._row_idx, cols].min(axis=1)
+        signs = self._signs(hashed[:, None])
+        scatter_add(self._table, cols, np.broadcast_to(signs * weights_arr[:, None], cols.shape))
+        estimates = self._combine(self._table[self._row_idx, cols] * signs).astype(np.int64, copy=False)
         self._merge_tracked(key_objects(keys), estimates.tolist(), select_tracked)
 
     def _update_aggregated_scalar(self, keys: List[Hashable], weight_list: List[int]) -> None:
@@ -207,10 +237,10 @@ class CountMinSketch(CounterAlgorithm):
         self._total += sum(weight_list)
         table = self._table
         rows = self._row_idx
-        cols_per_key = [self._rows(key) for key in keys]
-        for cols, weight in zip(cols_per_key, weight_list):
-            table[rows, cols] += weight
-        estimates = [int(table[rows, cols].min()) for cols in cols_per_key]
+        hashes = [self._cols_signs(key) for key in keys]
+        for (cols, signs), weight in zip(hashes, weight_list):
+            table[rows, cols] += signs * weight
+        estimates = [int(self._combine(table[rows, cols] * signs)) for cols, signs in hashes]
         self._merge_tracked(keys, estimates, select_tracked_scalar)
 
     def _merge_tracked(self, keys: List[Hashable], estimates: List[int], select) -> None:
@@ -232,26 +262,26 @@ class CountMinSketch(CounterAlgorithm):
     # ------------------------------------------------------------------ #
 
     def merge(self, other: "CountMinSketch", *, disjoint: bool = False) -> None:
-        """Fold another Count-Min sketch into this one by table addition.
+        """Fold another sketch of the same family into this one by table addition.
 
-        Sketch updates are linear in the table, so the merged table is
-        bit-identical to one sketch having seen both streams - per-key
-        estimates after the merge equal the single-pass estimates exactly.
-        Requires identical geometry *and* hash functions (same width, depth
-        and seed).  The tracked heavy-hitter candidates are re-estimated from
-        the merged table and the strongest ``track`` of the union survive.
-        ``disjoint`` changes nothing (addition is addition) and is accepted
-        for protocol compatibility.
+        Sketch updates (signed or not) are linear in the table, so the
+        merged table is bit-identical to one sketch having seen both streams
+        - per-key estimates after the merge equal the single-pass estimates
+        exactly.  Requires the same class, identical geometry *and* hash
+        functions (same width, depth and seed).  The tracked heavy-hitter
+        candidates are re-estimated from the merged table and the strongest
+        ``track`` of the union survive.  ``disjoint`` changes nothing
+        (addition is addition) and is accepted for protocol compatibility.
         """
         del disjoint
-        check_same_sketch_family(self, other, ("_a", "_b"))
+        check_same_sketch_family(self, other, self._HASH_ATTRS)
         self._table += other._table
         self._total += other.total
         remerge_tracked(self, other)
 
     def estimate(self, key: Hashable) -> float:
-        cols = self._rows(key)
-        return float(self._table[self._row_idx, cols].min())
+        cols, signs = self._cols_signs(key)
+        return float(self._combine(self._table[self._row_idx, cols] * signs))
 
     def upper_bound(self, key: Hashable) -> float:
         return self.estimate(key)

@@ -5,11 +5,11 @@ stream's L2 norm rather than L1, so it is typically tighter than Count-Min on
 skewed traffic.  Provided as an additional substitutable counter for the RHHH
 ablation benchmarks.
 
-Like :class:`~repro.hh.count_min.CountMinSketch`, batch feeds take a fully
-vectorized fast path (:meth:`CountSketch.update_aggregated`) - one hash
-broadcast (columns *and* signs), one signed scatter pass, one gather for the
-batch's median estimates, one argpartition fold into the tracked keys -
-bit-identical to the scalar twin :meth:`CountSketch.update_batch_reference`.
+A variant of the :class:`~repro.hh.count_min.CountMinSketch` core, which
+owns the table, the batch path and its scalar twin, the tracked keys and
+merge; this class supplies only what differs: the table geometry, a second
+hash family drawn right after the column hashes that gives every row a
+``+-1`` sign, the median combine and the two-sided error bound.
 
 Frequency estimates are clamped at zero: the signed median is unbiased and
 can dip negative under sign collisions, but true frequencies are
@@ -21,30 +21,15 @@ lattice pass.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
-from repro.hh.base import CounterAlgorithm
-from repro.hh.merge import check_same_sketch_family, remerge_tracked
-from repro.hh.sketch_batch import (
-    PRIME,
-    hash_columns,
-    hash_signs,
-    key_hash_array,
-    key_hash_scalar,
-    key_objects,
-    scatter_add,
-    select_tracked,
-    select_tracked_scalar,
-    track_candidate,
-)
-
-_PRIME = PRIME
+from repro.hh.count_min import CountMinSketch
+from repro.hh.sketch_batch import PRIME, hash_signs
 
 
-class CountSketch(CounterAlgorithm):
+class CountSketch(CountMinSketch):
     """Count Sketch with a bounded top-keys dictionary for heavy-hitter queries.
 
     Args:
@@ -58,9 +43,7 @@ class CountSketch(CounterAlgorithm):
 
     _MAX_WIDTH = 1 << 18
 
-    #: See :class:`~repro.hh.count_min.CountMinSketch`: batch feeds hand this
-    #: backend key arrays so hashing stays vectorized end to end.
-    AGGREGATED_KEY_ARRAYS = True
+    _HASH_ATTRS = ("_a", "_b", "_sa", "_sb")
 
     def __init__(
         self,
@@ -72,208 +55,36 @@ class CountSketch(CounterAlgorithm):
         track: Optional[int] = None,
         seed: int = 0xC0DE,
     ) -> None:
-        super().__init__()
-        if not 0 < epsilon < 1:
-            raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-        if not 0 < delta < 1:
-            raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
-        for name, value in (("width", width), ("depth", depth)):
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        self._epsilon = epsilon
-        self._delta = delta
-        self._width = width if width is not None else self.derived_width(epsilon)
-        self._depth = depth if depth is not None else self.derived_depth(delta)
-        if self._depth % 2 == 0:
-            self._depth += 1  # odd depth makes the median unambiguous
-        rng = np.random.default_rng(seed)
-        self._a = rng.integers(1, _PRIME, size=self._depth, dtype=np.uint64)
-        self._b = rng.integers(0, _PRIME, size=self._depth, dtype=np.uint64)
-        self._sa = rng.integers(1, _PRIME, size=self._depth, dtype=np.uint64)
-        self._sb = rng.integers(0, _PRIME, size=self._depth, dtype=np.uint64)
-        self._table = np.zeros((self._depth, self._width), dtype=np.int64)
-        self._row_idx = np.arange(self._depth)
-        self._track_limit = track if track is not None else 2 * int(math.ceil(1.0 / epsilon))
-        self._tracked: Dict[Hashable, int] = {}
+        super().__init__(epsilon, delta, width=width, depth=depth, track=track, seed=seed)
 
     @classmethod
     def derived_width(cls, epsilon: float) -> int:
-        """Table width derived from ``epsilon`` (``ceil(3/epsilon^2)``, capped).
-
-        Single source of truth shared with ``repro.api.memory``'s footprint
-        estimates, so the chooser prices exactly the table the constructor
-        builds.
-        """
+        """Table width derived from ``epsilon`` (``ceil(3/epsilon^2)``, capped)."""
         return max(4, min(int(math.ceil(3.0 / (epsilon * epsilon))), cls._MAX_WIDTH))
 
-    @classmethod
-    def derived_depth(cls, delta: float) -> int:
-        """Table depth derived from ``delta``, including the odd-depth bump."""
-        depth = max(1, int(math.ceil(math.log(1.0 / delta))))
-        return depth + 1 if depth % 2 == 0 else depth
+    @staticmethod
+    def _built_depth(depth: int) -> int:
+        return depth + 1 if depth % 2 == 0 else depth  # odd depth makes the median unambiguous
 
-    @property
-    def width(self) -> int:
-        """Number of counters per hash row."""
-        return self._width
+    def _draw_hashes(self, rng: np.random.Generator) -> None:
+        super()._draw_hashes(rng)
+        self._sa = rng.integers(1, PRIME, size=self._depth, dtype=np.uint64)
+        self._sb = rng.integers(0, PRIME, size=self._depth, dtype=np.uint64)
 
-    @property
-    def depth(self) -> int:
-        """Number of hash rows."""
-        return self._depth
+    def _signs(self, hashed):
+        return hash_signs(hashed, self._sa, self._sb)
 
-    def _cols_signs(self, key: Hashable):
-        h = np.uint64(key_hash_scalar(key))
-        cols = ((self._a * h + self._b) % np.uint64(_PRIME)) % np.uint64(self._width)
-        signs = (((self._sa * h + self._sb) % np.uint64(_PRIME)) % np.uint64(2)).astype(np.int64) * 2 - 1
-        return cols, signs
-
-    def update(self, key: Hashable, weight: int = 1) -> None:
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        self._total += weight
-        cols, signs = self._cols_signs(key)
-        rows = self._row_idx
-        self._table[rows, cols] += signs * weight
-        estimate = int(max(0.0, float(np.median(self._table[rows, cols] * signs))))
-        self._track(key, estimate)
-
-    def _track(self, key: Hashable, estimate: int) -> None:
-        track_candidate(self, self._tracked, self._track_limit, key, estimate)
-
-    # ------------------------------------------------------------------ #
-    # batch feeds
-    # ------------------------------------------------------------------ #
-
-    def update_batch(self, items: Iterable[Tuple[Hashable, int]]) -> None:
-        """Batch update over pre-aggregated ``(key, weight)`` pairs.
-
-        Distinct keys take the vectorized :meth:`update_aggregated` path
-        with its batch-scoped tracked-set semantics; duplicate keys fall
-        back to a per-event :meth:`update` replay.
-        :meth:`update_batch_reference` is the scalar specification,
-        bit-identical in both regimes.
-        """
-        pairs = list(items)
-        if not pairs:
-            return
-        keys = [key for key, _ in pairs]
-        if len(set(keys)) != len(keys):
-            for key, weight in pairs:
-                self.update(key, int(weight))
-            return
-        weights = np.fromiter((int(weight) for _, weight in pairs), dtype=np.int64, count=len(pairs))
-        self.update_aggregated(keys, weights)
-
-    def update_batch_reference(self, items: Iterable[Tuple[Hashable, int]]) -> None:
-        """Scalar specification of :meth:`update_batch` (pure-Python loops)."""
-        pairs = list(items)
-        if not pairs:
-            return
-        keys = [key for key, _ in pairs]
-        if len(set(keys)) != len(keys):
-            for key, weight in pairs:
-                self.update(key, int(weight))
-            return
-        self._update_aggregated_scalar(keys, [int(weight) for _, weight in pairs])
-
-    def update_aggregated(self, keys: Sequence[Hashable], weights: Sequence[int]) -> None:
-        """Vectorized aggregated-batch fast path (distinct keys, positive weights).
-
-        One hash broadcast (columns and signs), one signed scatter pass, one
-        median gather, one argpartition fold into the tracked set -
-        bit-identical to :meth:`_update_aggregated_scalar`.  Keys the vector
-        hash cannot represent fall back to that scalar twin transparently.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr = np.asarray(weights, dtype=np.int64)
-        hashed = key_hash_array(keys)
-        if hashed is None:
-            self._update_aggregated_scalar(key_objects(keys), weights_arr.tolist())
-            return
-        if int(weights_arr.min()) <= 0:
-            raise ValueError("weight must be positive")
-        self._total += int(weights_arr.sum())
-        cols = hash_columns(hashed, self._a, self._b, self._width)
-        signs = hash_signs(hashed, self._sa, self._sb)
-        scatter_add(self._table, cols, signs * weights_arr[:, None])
-        gathered = self._table[self._row_idx, cols] * signs
-        estimates = np.maximum(np.median(gathered, axis=1), 0.0).astype(np.int64)
-        self._merge_tracked(key_objects(keys), estimates.tolist(), select_tracked)
-
-    def _update_aggregated_scalar(self, keys: List[Hashable], weight_list: List[int]) -> None:
-        """Scalar twin of :meth:`update_aggregated`: same batch-scoped semantics."""
-        if not keys:
-            return
-        if min(weight_list) <= 0:
-            raise ValueError("weight must be positive")
-        self._total += sum(weight_list)
-        table = self._table
-        rows = self._row_idx
-        hashes = [self._cols_signs(key) for key in keys]
-        for (cols, signs), weight in zip(hashes, weight_list):
-            table[rows, cols] += signs * weight
-        estimates = [
-            int(max(0.0, float(np.median(table[rows, cols] * signs)))) for cols, signs in hashes
-        ]
-        self._merge_tracked(keys, estimates, select_tracked_scalar)
-
-    def _merge_tracked(self, keys: List[Hashable], estimates: List[int], select) -> None:
-        """Fold a batch's (key, estimate) pairs into the tracked dictionary.
-
-        Same contract as the Count-Min version: admit every batch key
-        (refreshes keep their dict position), keep the strongest ``track``
-        of the union via ``select``.
-        """
-        tracked = self._tracked
-        tracked.update(zip(keys, estimates))
-        if len(tracked) > self._track_limit:
-            self._tracked = select(tracked, self._track_limit)
-
-    # ------------------------------------------------------------------ #
-    # merge and queries
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "CountSketch", *, disjoint: bool = False) -> None:
-        """Fold another Count Sketch into this one by table addition.
-
-        Signed sketch updates are linear, so the merged table is bit-identical
-        to one sketch having seen both streams and per-key estimates equal
-        the single-pass estimates exactly.  Requires identical geometry and
-        hash/sign functions (same width, depth and seed).  Tracked candidates
-        are re-estimated from the merged table; ``disjoint`` is accepted for
-        protocol compatibility.
-        """
-        del disjoint
-        check_same_sketch_family(self, other, ("_a", "_b", "_sa", "_sb"))
-        self._table += other._table
-        self._total += other.total
-        remerge_tracked(self, other)
-
-    def estimate(self, key: Hashable) -> float:
-        cols, signs = self._cols_signs(key)
+    def _combine(self, values: np.ndarray):
         # The signed median is unbiased and can dip below zero under sign
         # collisions; true frequencies are nonnegative, so clamp (mirroring
         # lower_bound's floor) - otherwise a lattice pass computes negative
         # conditioned counts and upper bounds below lower bounds.
-        return max(0.0, float(np.median(self._table[self._row_idx, cols] * signs)))
+        return np.maximum(np.median(values, axis=-1), 0.0)
+
+    # Defined here, not inherited: perfbench's tracer hooks ``CountSketch.merge`` by name.
+    def merge(self, other: "CountSketch", *, disjoint: bool = False) -> None:
+        """Fold another Count Sketch into this one (see :meth:`CountMinSketch.merge`)."""
+        super().merge(other, disjoint=disjoint)
 
     def upper_bound(self, key: Hashable) -> float:
         return self.estimate(key) + self._epsilon * self._total
-
-    def lower_bound(self, key: Hashable) -> float:
-        return max(0.0, self.estimate(key) - self._epsilon * self._total)
-
-    def counters(self) -> int:
-        return self._width * self._depth + self._track_limit
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._tracked)
-
-    def __len__(self) -> int:
-        return len(self._tracked)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._tracked

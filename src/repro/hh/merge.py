@@ -61,9 +61,10 @@ def check_same_sketch_family(a, b, hash_attrs: Sequence[str]) -> None:
     """Reject merging sketches of different type, geometry or hash family.
 
     Table addition is only meaningful cell for cell: both sketches must be
-    the same class (a conservative-update table is not a plain count-min
-    table), the same ``depth x width``, and draw the same hash (and sign)
-    functions - the attributes named by ``hash_attrs``.
+    exactly the same class (the variants subclass the Count-Min core, so an
+    ``isinstance`` check would let a signed or conservative-update table
+    into a plain count-min one), the same ``depth x width``, and draw the
+    same hash (and sign) functions - the attributes named by ``hash_attrs``.
     """
     if type(a) is not type(b):
         raise ConfigurationError(

@@ -123,9 +123,14 @@ def hash_columns(hashed: np.ndarray, a: np.ndarray, b: np.ndarray, width: int) -
     return (mixed % np.uint64(width)).astype(np.int64)
 
 
-def hash_signs(hashed: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """Vectorized Count-Sketch sign hash: ``+-1`` int64, one row per key."""
-    mixed = (sa[None, :] * hashed[:, None] + sb[None, :]) % np.uint64(PRIME)
+def hash_signs(hashed, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Count-Sketch sign hash ``((sa*h + sb) % p) % 2`` mapped to ``+-1`` int64.
+
+    ``hashed`` is one uint64 hash input (one sign per row) or an ``(n, 1)``
+    column of them (row ``i`` holds key ``i``'s signs); the elementwise
+    uint64 arithmetic is the same in both shapes.
+    """
+    mixed = (sa * hashed + sb) % np.uint64(PRIME)
     return (mixed % np.uint64(2)).astype(np.int64) * 2 - 1
 
 

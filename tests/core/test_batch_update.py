@@ -160,20 +160,24 @@ def _weighted_engine(name, hierarchy):
 
 
 class TestWeightValidation:
-    """A weight below 1 is rejected before any RNG draw or state change."""
+    """A fractional weight or one below 1 is rejected before any RNG draw or state change."""
 
     ENGINES = ["rhhh", "mst", "sampled_mst", "sharded"]
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("bad", [-3, 0], ids=["negative", "zero"])
-    def test_bad_batch_weight_leaves_state_untouched(self, engine, bad, byte_hierarchy):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(-3, ">= 1"), (0, ">= 1"), (1.9, "whole numbers"), (0.5, "whole numbers")],
+        ids=["negative", "zero", "fraction", "fraction-below-one"],
+    )
+    def test_bad_batch_weight_leaves_state_untouched(self, engine, bad, message, byte_hierarchy):
         algorithm = _weighted_engine(engine, byte_hierarchy)
         keys = np.random.default_rng(8).integers(0, 2**32, size=200, dtype=np.int64)
         algorithm.update_batch(keys[:100])
         before = pickle.dumps(snapshot_algorithm(algorithm))
-        weights = np.ones(100, dtype=np.int64)
+        weights = np.ones(100, dtype=np.result_type(bad))
         weights[37] = bad
-        with pytest.raises(ConfigurationError, match="weights must be >= 1"):
+        with pytest.raises(ConfigurationError, match=f"weights must be {message}"):
             algorithm.update_batch(keys[100:], weights)
         assert pickle.dumps(snapshot_algorithm(algorithm)) == before
         assert algorithm.total == 100
@@ -183,10 +187,21 @@ class TestWeightValidation:
         algorithm = _weighted_engine(engine, byte_hierarchy)
         algorithm.update(0x0A000001, 3)
         before = pickle.dumps(snapshot_algorithm(algorithm))
-        with pytest.raises(ConfigurationError, match="weights must be >= 1"):
-            algorithm.update(0x0A000002, 0)
-        assert pickle.dumps(snapshot_algorithm(algorithm)) == before
+        for bad, message in ((0, ">= 1"), (1.9, "whole numbers"), (0.5, "whole numbers")):
+            with pytest.raises(ConfigurationError, match=f"weights must be {message}"):
+                algorithm.update(0x0A000002, bad)
+            assert pickle.dumps(snapshot_algorithm(algorithm)) == before
         assert algorithm.total == 3
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_integral_float_weights_count_as_integers(self, engine, byte_hierarchy):
+        keys = np.random.default_rng(9).integers(0, 2**32, size=50, dtype=np.int64)
+        floats = _weighted_engine(engine, byte_hierarchy)
+        ints = _weighted_engine(engine, byte_hierarchy)
+        floats.update_batch(keys, np.full(50, 3.0))
+        ints.update_batch(keys, np.full(50, 3, dtype=np.int64))
+        assert pickle.dumps(snapshot_algorithm(floats)) == pickle.dumps(snapshot_algorithm(ints))
+        assert floats.total == ints.total == 150
 
 
 class TestSequentialFallback:

@@ -24,6 +24,7 @@ engine exercises in production.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -259,6 +260,22 @@ class TestSketchMerge:
     def test_count_min_refuses_conservative_twin(self):
         with pytest.raises(ConfigurationError, match="merge"):
             CountMinSketch(epsilon=0.05, seed=5).merge(ConservativeCountMin(epsilon=0.05, seed=5))
+
+    @pytest.mark.parametrize(
+        "cls,other_cls",
+        list(itertools.permutations([CountMinSketch, CountSketch, ConservativeCountMin], 2)),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_cross_family_merge_refused(self, cls, other_cls):
+        # The variants subclass one core, so isinstance() holds across
+        # families; only the exact-type check keeps their tables apart.
+        # Explicit equal geometry makes the type the only difference.
+        a = cls(epsilon=0.05, width=64, depth=5, seed=5)
+        b = other_cls(epsilon=0.05, width=64, depth=5, seed=5)
+        before = a._table.copy()
+        with pytest.raises(ConfigurationError, match=f"cannot merge {cls.__name__} with"):
+            a.merge(b)
+        assert np.array_equal(a._table, before)
 
 
 class TestDictionaryBackendMerge:

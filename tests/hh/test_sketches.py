@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from repro.exceptions import ConfigurationError
 from repro.hh.conservative_update import ConservativeCountMin
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
+from repro.hh.sketch_batch import key_objects
 from repro.hhh.mst import MST
 
 
@@ -199,3 +202,94 @@ class TestRowIndexCache:
         for cls in (CountMinSketch, CountSketch, ConservativeCountMin):
             sketch = cls(epsilon=0.05, delta=0.05)
             assert sketch._row_idx.tolist() == list(range(sketch.depth))
+
+
+class _Label(str):
+    """A string key with a process-stable hash.
+
+    Builtin ``str`` hashing is salted per process, and string keys take the
+    sketches' ``hash(key)`` fallback, so a plain string would make the golden
+    digests below depend on ``PYTHONHASHSEED``.
+    """
+
+    def __hash__(self) -> int:
+        return zlib.crc32(self.encode())
+
+
+def _feed_aggregated(sketch, keys: np.ndarray, weights: np.ndarray) -> None:
+    """Apply one aggregated batch the way ``repro.core.batch.feed_counter`` does."""
+    if sketch.update_aggregated is None:
+        sketch.update_batch(zip(key_objects(keys), weights.tolist()))
+    else:
+        sketch.update_aggregated(keys, weights)
+
+
+def _golden_stream(sketch) -> None:
+    """Feed a fixed stream through every update entry point of a sketch."""
+    rng = np.random.default_rng(2024)
+    for i, key in enumerate((rng.zipf(1.3, 60) % 97).tolist()):
+        sketch.update(key, 1 + i % 3)
+    sketch.update_batch([(key, 1 + key % 4) for key in range(100, 130)])
+    sketch.update_batch([(5, 2), (7, 1), (5, 3), (200, 4), (7, 6)])
+    _feed_aggregated(
+        sketch, np.arange(300, 340, dtype=np.int64) * 7919, np.arange(1, 41, dtype=np.int64)
+    )
+    pairs = np.array([[10, 20], [10, 21], [11, 20], [2**31, 5], [7, 7]], dtype=np.int64)
+    _feed_aggregated(sketch, pairs, np.array([3, 1, 4, 1, 5], dtype=np.int64))
+    sketch.update_batch([(_Label(f"host{i}"), 2 + i % 3) for i in range(15)])
+
+
+def _golden_sketch(cls, geometry):
+    """A sketch after the golden stream plus one merge of a same-seed peer."""
+    sketch = cls(track=12, **geometry)
+    _golden_stream(sketch)
+    peer = cls(track=12, **geometry)
+    peer.update_batch([(key, 2) for key in range(120, 160)])
+    peer.update(_Label("host3"), 9)
+    peer.update(5, 11)
+    sketch.merge(peer)
+    return sketch
+
+
+def _state_digest(sketch) -> str:
+    """SHA-256 over a sketch's full state, independent of the numpy pickle format."""
+    state = vars(sketch)
+    digest = hashlib.sha256()
+    digest.update(repr(list(state)).encode())
+    digest.update(repr(sketch._table.shape).encode())
+    digest.update(sketch._table.tobytes())
+    for attr in ("_a", "_b", "_sa", "_sb"):
+        if attr in state:
+            digest.update(attr.encode())
+            digest.update(state[attr].tobytes())
+    digest.update(
+        repr((sketch._total, sketch._track_limit, list(sketch._tracked.items()))).encode()
+    )
+    return digest.hexdigest()
+
+
+GOLDEN_DIGESTS = {
+    ("CountMinSketch", "default"): "acc034af87f200d799711838f2793066eb1828e063d12d093da4538465489cfe",
+    ("CountMinSketch", "even-depth"): "12bfe489ab34149359ddddc169aab12201b5730389b8bb602ef100f960b6dfe0",
+    ("CountSketch", "default"): "9c178138aff00df2287198ab740e29d58c00fff591c0a7f2e7ec91155b96829d",
+    ("CountSketch", "even-depth"): "874041aa2ac964f8009b13a24105523273ccacd6e2c2819fc21141d287f4a50a",
+    ("ConservativeCountMin", "default"): "3636ef31281e5c534a4573f477ebff6dde23462ddae63e9168d740ae40d76efe",
+    ("ConservativeCountMin", "even-depth"): "9fe256cffb11c0b7b99f730b6efaf57cbc73b665d0270f23fdf63163aca7e7a9",
+}
+
+
+class TestGoldenSketchState:
+    """Every sketch reaches a pinned state on a fixed stream.
+
+    The stream covers scalar ``update``, ``update_batch`` with distinct and
+    duplicate keys, ``update_aggregated`` with 1-D and ``(n, 2)`` key arrays,
+    the string-key fallback and one ``merge``; the geometries cover the
+    defaults and an explicit even depth (which the Count Sketch bumps to odd).
+    """
+
+    @pytest.mark.parametrize("geometry_id", ["default", "even-depth"])
+    @pytest.mark.parametrize("cls", [CountMinSketch, CountSketch, ConservativeCountMin])
+    def test_state_digest_is_pinned(self, cls, geometry_id):
+        geometry = {"default": {}, "even-depth": {"width": 64, "depth": 4}}[geometry_id]
+        sketch = _golden_sketch(cls, geometry)
+        assert _state_digest(sketch) == GOLDEN_DIGESTS[(cls.__name__, geometry_id)]
