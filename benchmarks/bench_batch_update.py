@@ -4,7 +4,6 @@ Compares the ways of feeding the same stream into RHHH at the Figure 5
 settings (sanjose14 backbone workload, 2D-bytes lattice by default):
 
 * ``update``              - the per-packet general entry point (the scalar baseline);
-* ``update_fast``         - the per-packet unit-weight fast path;
 * ``update_batch``        - the vectorized batch engine over the linked-bucket
                             Space Saving counter, fed ``--batch-size`` chunks;
 * ``update_batch[array]`` - the same batch engine over the struct-of-arrays
@@ -418,14 +417,6 @@ def main(argv=None) -> int:
             update(key)
         return time.perf_counter() - start
 
-    def run_update_fast() -> float:
-        algorithm = _make(args, hierarchy)
-        update = algorithm.update_fast
-        start = time.perf_counter()
-        for key in scalar_keys:
-            update(key)
-        return time.perf_counter() - start
-
     def run_batch(counter) -> float:
         algorithm = _make(args, hierarchy, counter)
         update_batch = algorithm.update_batch
@@ -556,7 +547,6 @@ def main(argv=None) -> int:
 
     variants = {
         "update": run_update,
-        "update_fast": run_update_fast,
         "update_batch": lambda: run_batch("space_saving"),
         "update_batch[array]": lambda: run_batch(COUNTERS["array_space_saving"]),
         "mst_update": run_mst_update,

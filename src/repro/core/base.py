@@ -14,7 +14,7 @@ from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.core.batch import coerce_weights
 from repro.hierarchy.base import Hierarchy
 from repro.hierarchy.prefix import Prefix
 
@@ -134,19 +134,19 @@ class HHHAlgorithm(abc.ABC):
             keys: the batch of fully specified keys.  Accepts any sequence;
                 numpy arrays are understood natively (a ``(batch, 2)`` integer
                 array is read as (source, destination) pairs).
-            weights: optional per-packet weights, defaulting to 1 each.
+            weights: optional per-packet weights, defaulting to 1 each; every
+                weight must be a whole number of at least 1.
         """
+        update = self.update
         if weights is None:
-            update = self.update
             for key in self._iter_batch_keys(keys):
                 update(key)
-        else:
-            if len(weights) != len(keys):
-                raise ConfigurationError(
-                    f"weights length ({len(weights)}) does not match keys length ({len(keys)})"
-                )
-            for key, weight in zip(self._iter_batch_keys(keys), weights):
-                self.update(key, int(weight))
+            return
+        # Validate the whole batch first: a bad weight must not leave the
+        # packets before it applied.
+        weights_arr, _ = coerce_weights(weights, len(keys))
+        for key, weight in zip(self._iter_batch_keys(keys), weights_arr.tolist()):
+            update(key, weight)
 
     @staticmethod
     def _iter_batch_keys(keys):

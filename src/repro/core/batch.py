@@ -9,13 +9,14 @@ counters:
 * :class:`~repro.hhh.sampled_mst.SampledMST` updates every node with a
   **sampled subset** of the packets.
 
-All three share the same pipeline: coerce the batch into numpy form, mask
-the keys with the hierarchy's vectorized batch generalizers, pre-aggregate
-duplicate masked keys so every counter sees one weighted update per distinct
-key (applied in ascending key order), and hand the aggregated pairs to the
-counter backend's ``update_batch``.  This module holds that pipeline; the
-algorithms contribute only their routing policy (which packets reach which
-node).
+All three share one batch core, :class:`~repro.core.rhhh.LatticeHHH`: each
+algorithm states only its routing policy (which packets reach which node),
+and the core masks each node's keys with the hierarchy's vectorized batch
+generalizers, pre-aggregates duplicate masked keys so every counter sees one
+weighted update per distinct key (applied in ascending key order), and hands
+the aggregated pairs to the counter backend.  This module holds the
+pipeline's building blocks: batch and weight coercion, grouping by node,
+aggregation and the counter feeds.
 
 The aggregation order contract matters: both the vectorized paths and the
 scalar reference paths (``update_batch_reference``) emit pairs in ascending
@@ -252,47 +253,3 @@ def group_by_node(nodes: np.ndarray, packets: np.ndarray) -> Iterator[Tuple[int,
     unique_nodes, first = np.unique(sorted_nodes, return_index=True)
     groups = np.split(sorted_packets, first[1:])
     return zip(unique_nodes.tolist(), groups)
-
-
-def apply_lattice_batch(
-    counters: Sequence,
-    batch_generalizers: Sequence,
-    keys_arr: np.ndarray,
-    weights_arr: Optional[np.ndarray],
-) -> None:
-    """Feed one key batch to **every** lattice node's counter (the MST policy).
-
-    Each node's batch generalizer masks the whole key array at once;
-    duplicates are pre-aggregated so the counter sees one weighted update per
-    distinct masked key, in ascending key order.
-    """
-    for node, generalize in enumerate(batch_generalizers):
-        feed_counter(counters[node], generalize(keys_arr), weights_arr)
-
-
-def apply_lattice_batch_scalar(
-    counters: Sequence,
-    generalizers: Sequence,
-    keys: Sequence,
-    weights_arr: Optional[np.ndarray],
-) -> None:
-    """Scalar specification of :func:`apply_lattice_batch` (pure-Python loops).
-
-    Aggregates with per-node dictionaries and hands each node's pairs to
-    :func:`feed_counter_reference` in ascending key order - bit-identical to
-    the vectorized path for the same batch (including counters with
-    batch-scoped semantics), and the fallback for keys numpy cannot
-    represent.
-    """
-    weight_list = weights_arr.tolist() if weights_arr is not None else None
-    for node, generalize in enumerate(generalizers):
-        aggregate: dict = {}
-        if weight_list is None:
-            for key in keys:
-                masked = generalize(key)
-                aggregate[masked] = aggregate.get(masked, 0) + 1
-        else:
-            for key, weight in zip(keys, weight_list):
-                masked = generalize(key)
-                aggregate[masked] = aggregate.get(masked, 0) + weight
-        feed_counter_reference(counters[node], sorted_pairs(aggregate))

@@ -7,12 +7,11 @@ the stream, ``1`` for MST) and in the additive ``correction`` term of
 Algorithm 1 line 13 (``2 Z_{1-delta} sqrt(N V)`` for RHHH, ``0`` for the
 deterministic baselines).
 
-:class:`LatticeHHH` is the base the three lattice algorithms share: one
-counter summary per lattice node, the compiled generalizers, the per-node
-version counters and the :class:`OutputCache`.  Each subclass states its
-Output once, as :meth:`LatticeHHH.query` over explicit state - its own for
-``output(theta)``, a merged lattice for the sharded and distributed
-engines.
+Each lattice algorithm (RHHH, MST and SampledMST, the subclasses of
+:class:`~repro.core.rhhh.LatticeHHH`) states its Output once, as ``query``
+over explicit state, and ``query`` ends in :func:`lattice_output`.  This module also resolves the
+per-node counter backend (:func:`prepare_counter_factory`), which
+:mod:`repro.core.config` needs without importing the algorithms.
 
 The module also owns the *incremental* query engine behind repeated
 ``output(theta)`` calls: engines stamp a per-lattice-node version counter on
@@ -32,11 +31,10 @@ selections in the same insertion order.
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.base import HHHAlgorithm, HHHCandidate, HHHOutput
+from repro.core.base import HHHCandidate, HHHOutput
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 from repro.hierarchy.base import Hierarchy, PrefixKey
@@ -615,73 +613,3 @@ def prepare_counter_factory(counter: CounterLike, epsilon: float) -> Callable[[]
 
     spec = CounterSpec(name=counter) if isinstance(counter, str) else counter
     return resolved_counter_factory(spec.resolve(default_epsilon=epsilon))
-
-
-class LatticeHHH(HHHAlgorithm):
-    """An HHH algorithm keeping one counter summary per lattice node.
-
-    Owns the state RHHH, MST and SampledMST share: the per-node counters
-    (built from one resolved counter factory), the scalar and batch
-    generalizers, the per-node version counters that mark nodes dirty for
-    the incremental Output pass, and that pass's :class:`OutputCache`.
-
-    Subclasses implement :meth:`query`, their Output over explicit state;
-    :meth:`output` runs it over the algorithm's own.
-
-    Args:
-        hierarchy: the hierarchical domain.
-        counter: the per-node counter backend (name, CounterSpec or factory).
-        epsilon: the per-counter error target handed to the factory.
-    """
-
-    def __init__(self, hierarchy: Hierarchy, counter: CounterLike, epsilon: float) -> None:
-        super().__init__(hierarchy)
-        counter_factory = prepare_counter_factory(counter, epsilon)
-        self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
-        self._generalizers = hierarchy.compile_generalizers()
-        self._batch_generalizers = hierarchy.compile_batch_generalizers()
-        #: Per-lattice-node update counters driving the incremental query
-        #: engine: any bump marks the node dirty for the next output pass.
-        self._versions: List[int] = [0] * hierarchy.size
-        self._output_cache: Optional[OutputCache] = OutputCache()
-
-    def _bump_versions(self) -> None:
-        """Mark every node dirty (an update that touched the whole lattice)."""
-        versions = self._versions
-        for node in range(len(versions)):
-            versions[node] += 1
-
-    @abc.abstractmethod
-    def query(
-        self,
-        theta: float,
-        counters: Sequence[CounterAlgorithm],
-        total: int,
-        versions: Optional[Sequence[int]],
-        cache: Optional[OutputCache],
-        lost: float = 0.0,
-    ) -> HHHOutput:
-        """This algorithm's Output over the given lattice state.
-
-        Args:
-            theta: threshold fraction.
-            counters: one counter summary per lattice node.
-            total: stream length ``N``, including ``lost``.
-            versions: per-node version counters of ``counters``.
-            cache: the :class:`OutputCache` paired with ``versions``
-                (``None`` runs the from-scratch pass).
-            lost: stream weight no counter accounts for (a lost shard or
-                switch); every conditioned estimate gains it, so any prefix
-                the missing weight could have pushed over ``theta * N``
-                still clears the threshold.
-        """
-
-    def output(self, theta: float) -> HHHOutput:
-        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
-
-    def counters(self) -> int:
-        return sum(c.counters() for c in self._counters)
-
-    def node_counter(self, node: int) -> CounterAlgorithm:
-        """Return the counter summary of lattice node ``node`` (for tests and diagnostics)."""
-        return self._counters[node]

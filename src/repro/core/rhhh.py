@@ -16,17 +16,28 @@ bound ``psi``.
 The class also implements the multi-update variant of Corollary 6.8
 (``updates_per_packet = r > 1``), which converges ``r`` times faster at the
 cost of ``r`` counter updates per packet.
+
+Next to RHHH lives :class:`LatticeHHH`, the base RHHH shares with the
+lattice baselines (:class:`~repro.hhh.mst.MST`,
+:class:`~repro.hhh.sampled_mst.SampledMST`): per-node counters, generalizers,
+version counters, the Output cache and the one batch core.  A lattice
+algorithm's batch update differs from another's only in which (packet, node)
+pairs get a counter update, so each subclass states just that choice, as
+:meth:`LatticeHHH._plan`; masking, duplicate aggregation, the ascending-key
+feed and the version bumps are written once, here, for the vectorized path
+and for its scalar twin.
 """
 
 from __future__ import annotations
 
+import abc
 import random
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.bounds import coverage_correction
-from repro.core.base import HHHOutput
+from repro.core.base import HHHAlgorithm, HHHOutput
 from repro.core.batch import (
     check_weight,
     coerce_key_array,
@@ -37,10 +48,167 @@ from repro.core.batch import (
     sorted_pairs,
 )
 from repro.core.config import RHHHConfig
-from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
+from repro.core.output import (
+    CounterLike,
+    OutputCache,
+    lattice_output,
+    prepare_counter_factory,
+    validate_theta,
+)
 from repro.exceptions import ConfigurationError
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
+
+#: One group of a batch plan: a lattice node and the batch rows it counts
+#: (``None`` for every row).  A row listed twice is counted twice.
+PlanGroup = Tuple[int, Optional[np.ndarray]]
+
+
+class LatticeHHH(HHHAlgorithm):
+    """An HHH algorithm keeping one counter summary per lattice node.
+
+    Owns the state RHHH, MST and SampledMST share: the per-node counters
+    (built from one resolved counter factory), the scalar and batch
+    generalizers, the per-node version counters that mark nodes dirty for
+    the incremental Output pass, and that pass's :class:`OutputCache`.
+
+    Subclasses implement :meth:`query`, their Output over explicit state
+    (:meth:`output` runs it over the algorithm's own), and :meth:`_plan`,
+    which packets of a batch update which nodes; :meth:`update_batch` and
+    its scalar twin :meth:`update_batch_reference` apply any plan the same
+    way.
+
+    Args:
+        hierarchy: the hierarchical domain.
+        counter: the per-node counter backend (name, CounterSpec or factory).
+        epsilon: the per-counter error target handed to the factory.
+    """
+
+    def __init__(self, hierarchy: Hierarchy, counter: CounterLike, epsilon: float) -> None:
+        super().__init__(hierarchy)
+        counter_factory = prepare_counter_factory(counter, epsilon)
+        self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
+        self._generalizers = hierarchy.compile_generalizers()
+        self._batch_generalizers = hierarchy.compile_batch_generalizers()
+        #: Per-lattice-node update counters driving the incremental query
+        #: engine: any bump marks the node dirty for the next output pass.
+        self._versions: List[int] = [0] * hierarchy.size
+        self._output_cache: Optional[OutputCache] = OutputCache()
+
+    def _bump_versions(self) -> None:
+        """Mark every node dirty (an update that touched the whole lattice)."""
+        versions = self._versions
+        for node in range(len(versions)):
+            versions[node] += 1
+
+    @abc.abstractmethod
+    def _plan(self, n: int) -> Iterable[PlanGroup]:
+        """Route the next ``n`` packets: ``(node, rows)`` groups in ascending node order.
+
+        Draws from the algorithm's batch RNG and updates its own sampling
+        tallies.  Both batch paths call it exactly once per non-empty batch,
+        so they consume the RNG stream identically.
+        """
+
+    def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
+        """Vectorized batch update: the packets :meth:`_plan` routes to each node.
+
+        Each group's keys are masked with the node's vectorized batch
+        generalizer, duplicate masked keys collapse into one weighted update
+        per distinct key, fed in ascending key order, and the node's version
+        moves.  Random plans draw from the batch RNG, not the per-packet
+        ``random.Random``, so a batch-fed and an update()-fed instance diverge
+        even with equal seeds.  :meth:`update_batch_reference` replays the
+        same semantics with scalar loops and is bit-identical; keys numpy
+        cannot mask take that scalar path here too.
+        """
+        n = len(keys)
+        if n == 0:
+            return
+        weights_arr, total_weight = coerce_weights(weights, n)
+        keys_arr = coerce_key_array(keys, n)
+        plan = self._plan(n)
+        self._total += total_weight
+        if keys_arr is None:
+            self._apply_plan_reference(keys, weights_arr, plan)
+            return
+        for node, rows in plan:
+            if rows is None:
+                masked = self._batch_generalizers[node](keys_arr)
+                group_weights = weights_arr
+            else:
+                masked = self._batch_generalizers[node](keys_arr[rows])
+                group_weights = weights_arr[rows] if weights_arr is not None else None
+            feed_counter(self._counters[node], masked, group_weights)
+            self._versions[node] += 1
+
+    def update_batch_reference(
+        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
+    ) -> None:
+        """Scalar specification of :meth:`update_batch` (pure-Python loops).
+
+        Takes the same plan from the same RNG draws, aggregates each group in
+        a per-key dictionary with the scalar generalizers and feeds it in
+        ascending key order; a same-seed instance fed through either method
+        reaches a bit-identical state.
+        """
+        n = len(keys)
+        if n == 0:
+            return
+        weights_arr, total_weight = coerce_weights(weights, n)
+        plan = self._plan(n)
+        self._total += total_weight
+        self._apply_plan_reference(keys, weights_arr, plan)
+
+    def _apply_plan_reference(
+        self, keys: Sequence[Hashable], weights_arr: Optional[np.ndarray], plan: Iterable[PlanGroup]
+    ) -> None:
+        """Apply a batch plan with per-key dictionaries and scalar counter feeds."""
+        key_list = list(self._iter_batch_keys(keys))
+        weight_list = weights_arr.tolist() if weights_arr is not None else [1] * len(key_list)
+        for node, rows in plan:
+            generalize = self._generalizers[node]
+            aggregate: dict = {}
+            for row in range(len(key_list)) if rows is None else rows.tolist():
+                masked = generalize(key_list[row])
+                aggregate[masked] = aggregate.get(masked, 0) + weight_list[row]
+            feed_counter_reference(self._counters[node], sorted_pairs(aggregate))
+            self._versions[node] += 1
+
+    @abc.abstractmethod
+    def query(
+        self,
+        theta: float,
+        counters: Sequence[CounterAlgorithm],
+        total: int,
+        versions: Optional[Sequence[int]],
+        cache: Optional[OutputCache],
+        lost: float = 0.0,
+    ) -> HHHOutput:
+        """This algorithm's Output over the given lattice state.
+
+        Args:
+            theta: threshold fraction.
+            counters: one counter summary per lattice node.
+            total: stream length ``N``, including ``lost``.
+            versions: per-node version counters of ``counters``.
+            cache: the :class:`OutputCache` paired with ``versions``
+                (``None`` runs the from-scratch pass).
+            lost: stream weight no counter accounts for (a lost shard or
+                switch); every conditioned estimate gains it, so any prefix
+                the missing weight could have pushed over ``theta * N``
+                still clears the threshold.
+        """
+
+    def output(self, theta: float) -> HHHOutput:
+        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
+
+    def counters(self) -> int:
+        return sum(c.counters() for c in self._counters)
+
+    def node_counter(self, node: int) -> CounterAlgorithm:
+        """Return the counter summary of lattice node ``node`` (for tests and diagnostics)."""
+        return self._counters[node]
 
 
 class RHHH(LatticeHHH):
@@ -94,7 +262,7 @@ class RHHH(LatticeHHH):
         self._h = hierarchy.size
         # The batch path pre-draws node choices with a numpy Generator: an
         # independent (but equally seeded, hence reproducible) RNG stream from
-        # the per-packet random.Random used by update()/update_fast().
+        # the per-packet random.Random used by update().
         self._batch_rng = np.random.default_rng(config.seed)
         self._ignored = 0
         self._update_calls = 0
@@ -119,125 +287,34 @@ class RHHH(LatticeHHH):
             else:
                 self._ignored += 1
 
-    def update_fast(self, key: Hashable) -> None:
-        """Single-update unit-weight fast path used by the speed benchmarks.
-
-        Functionally identical to ``update(key)`` with ``updates_per_packet=1``
-        and ``weight=1``, but avoids the bookkeeping attributes to stay as
-        close as a pure-Python implementation can to the per-packet cost of
-        the paper's C implementation.
-        """
-        self._total += 1
-        d = self._rng.randrange(self._v)
-        if d < self._h:
-            self._counters[d].update(self._generalizers[d](key), 1)
-            self._versions[d] += 1
-
     # ------------------------------------------------------------------ #
     # batch stream processing
     # ------------------------------------------------------------------ #
 
-    def _draw_nodes(self, count: int) -> np.ndarray:
-        """Pre-draw the node choices of ``count * r`` updates in one RNG call.
+    def _plan(self, n: int) -> Iterable[PlanGroup]:
+        """One uniform draw from ``[0, V)`` per update; ``d < H`` updates node ``d``.
 
-        The draws are laid out packet-major: packet ``i``'s ``r`` draws occupy
-        indices ``i*r .. i*r + r - 1``, matching the nested loop order of the
-        scalar reference.  Both batch paths share this helper so they consume
-        the RNG stream identically.
+        The ``n * r`` draws come from one RNG call, packet-major (packet
+        ``i``'s draws are ``i*r .. i*r + r - 1``), the order of the per-packet
+        loop.  Draws ``d >= H`` are ignored in bulk.
         """
-        return self._batch_rng.integers(0, self._v, size=count * self._r)
-
-    def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
-        """Vectorized batch update (the paper's Algorithm 1, amortized).
-
-        For every packet (and each of its ``r`` updates) a node choice ``d``
-        is pre-drawn uniformly from ``[0, V)`` in a single numpy call; the
-        ``d >= H`` ignores are discarded in bulk; surviving packets are
-        grouped by lattice node; each group's keys are masked with the
-        hierarchy's vectorized batch generalizers; and duplicate masked keys
-        are pre-aggregated so every counter sees one weighted update per
-        distinct key, applied in ascending key order.
-
-        The sampling process is identical in distribution to a per-packet
-        :meth:`update` loop, but the node choices come from this instance's
-        numpy Generator rather than its ``random.Random``, so a batch-fed
-        instance and an update()-fed instance diverge even with equal seeds.
-        :meth:`update_batch_reference` replays the exact batch semantics with
-        scalar loops and is bit-identical to this method for equal seeds.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        keys_arr = coerce_key_array(keys, n)
-        if keys_arr is None:
-            # Non-numeric keys: vectorized masking does not apply, but the
-            # batch semantics (and RNG consumption) must stay identical.
-            self._apply_batch_scalar(list(keys), weights_arr, self._draw_nodes(n))
-            self._total += total_weight
-            return
-        draws = self._draw_nodes(n)
-        self._total += total_weight
+        draws = self._batch_rng.integers(0, self._v, size=n * self._r)
         survive = draws < self._h
         survived = int(survive.sum())
         self._ignored += draws.size - survived
         self._update_calls += survived
         if survived == 0:
-            return
-        nodes = draws[survive]
+            return ()
         if self._r > 1:
-            chosen = np.repeat(np.arange(n), self._r)[survive]
+            rows = np.repeat(np.arange(n), self._r)[survive]
         else:
-            chosen = np.flatnonzero(survive)
-        for node, packet_ids in group_by_node(nodes, chosen):
-            masked = self._batch_generalizers[node](keys_arr[packet_ids])
-            group_weights = weights_arr[packet_ids] if weights_arr is not None else None
-            feed_counter(self._counters[node], masked, group_weights)
-            self._versions[node] += 1
+            rows = np.flatnonzero(survive)
+        return group_by_node(draws[survive], rows)
 
-    def update_batch_reference(
-        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
-    ) -> None:
-        """Scalar specification of :meth:`update_batch` (pure-Python loops).
-
-        Consumes the same pre-drawn node choices and applies the same
-        group-by-node / aggregate-duplicates / ascending-key-order semantics,
-        but with per-key dictionaries and scalar generalizers and counter
-        updates.  A same-seed instance fed through either method reaches a
-        bit-identical state; the equivalence tests rely on this.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        draws = self._draw_nodes(n)
-        self._total += total_weight
-        self._apply_batch_scalar(keys, weights_arr, draws)
-
-    def _apply_batch_scalar(self, keys, weights_arr, draws) -> None:
-        """Apply pre-drawn node choices to a batch with scalar loops."""
-        h = self._h
-        r = self._r
-        weight_list = weights_arr.tolist() if weights_arr is not None else None
-        per_node: dict = {}
-        survived = 0
-        ignored = 0
-        for i, key in enumerate(self._iter_batch_keys(keys)):
-            weight = weight_list[i] if weight_list is not None else 1
-            for j in range(r):
-                d = int(draws[i * r + j])
-                if d >= h:
-                    ignored += 1
-                    continue
-                survived += 1
-                masked = self._generalizers[d](key)
-                aggregate = per_node.setdefault(d, {})
-                aggregate[masked] = aggregate.get(masked, 0) + weight
-        self._ignored += ignored
-        self._update_calls += survived
-        for node in sorted(per_node):
-            feed_counter_reference(self._counters[node], sorted_pairs(per_node[node]))
-            self._versions[node] += 1
+    # Defined here, not inherited: perfbench's tracer hooks ``RHHH.update_batch`` by name.
+    def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
+        """Algorithm 1 over a whole batch (see :meth:`LatticeHHH.update_batch`)."""
+        super().update_batch(keys, weights)
 
     # ------------------------------------------------------------------ #
     # queries

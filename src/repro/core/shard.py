@@ -43,7 +43,8 @@ from repro.api.specs import AlgorithmSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
 from repro.core.batch import check_weight, coerce_key_array, coerce_weights
 from repro.core.checkpoint import apply_runtime_state, capture_runtime_state
-from repro.core.output import LatticeHHH, OutputCache
+from repro.core.output import OutputCache
+from repro.core.rhhh import LatticeHHH
 from repro.core.supervise import ShardLoss, ShardSupervisor, SupervisorPolicy
 from repro.exceptions import AlgorithmError, CheckpointError, ConfigurationError
 from repro.hh.base import FrequencyEstimator, unmergeable_error
@@ -185,7 +186,7 @@ class LatticeMerger:
     The merger owns a replica-shaped *template* (per-replica counter sizing,
     so capacities line up with the replica summaries); :meth:`output` hands
     the merged lattice to the template's
-    :meth:`~repro.core.output.LatticeHHH.query`, which supplies the
+    :meth:`~repro.core.rhhh.LatticeHHH.query`, which supplies the
     algorithm-specific scaling and sampling correction (``V`` and the
     ``2 Z sqrt(NV)`` term for RHHH) against the combined stream length.
     The template's own counters, total, versions and cache are never touched.

@@ -46,15 +46,7 @@ class SpeedResult:
 
 
 def measure_update_speed(algorithm: HHHAlgorithm, keys: Sequence[Hashable]) -> SpeedResult:
-    """Time the per-packet update loop of ``algorithm`` and return a :class:`SpeedResult`.
-
-    Uses the algorithm's unit-weight fast path (``update_fast``) when it
-    provides one, so the measured cost is the per-packet update itself rather
-    than the bookkeeping-heavy general entry point - the quantity Figure 5
-    actually compares across algorithms.  The fast path performs exactly one
-    counter update per packet, so it only stands in for ``update`` when the
-    algorithm is not running a multi-update variant (``updates_per_packet > 1``
-    must keep its r-fold update semantics or the measured stream is wrong).
+    """Time the per-packet ``update`` loop of ``algorithm`` and return a :class:`SpeedResult`.
 
     ``keys`` may be a plain sequence or a numpy key array: arrays are walked
     through ``HHHAlgorithm._iter_batch_keys`` so an ``(n, 2)`` array feeds
@@ -63,8 +55,6 @@ def measure_update_speed(algorithm: HHHAlgorithm, keys: Sequence[Hashable]) -> S
     and list inputs measure the same per-packet work.
     """
     update = algorithm.update
-    if getattr(algorithm, "updates_per_packet", 1) == 1:
-        update = getattr(algorithm, "update_fast", None) or update
     plain_keys = list(HHHAlgorithm._iter_batch_keys(keys))
     start = time.perf_counter()
     for key in plain_keys:

@@ -28,6 +28,7 @@ import math
 from typing import Dict, Hashable, List
 
 from repro.core.base import HHHAlgorithm, HHHCandidate, HHHOutput
+from repro.core.batch import check_weight
 from repro.core.output import conditioned_frequency_estimate, validate_theta
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.base import Hierarchy, PrefixKey
@@ -80,6 +81,7 @@ class _AncestryBase(HHHAlgorithm):
         return self._replacements
 
     def update(self, key: Hashable, weight: int = 1) -> None:
+        check_weight(weight)
         self._total += weight
         entries = self._entries
         leaf: PrefixKey = (0, self._generalizers[0](key))

@@ -17,6 +17,7 @@ from collections import defaultdict
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.base import HHHAlgorithm, HHHCandidate, HHHOutput
+from repro.core.batch import check_weight
 from repro.core.output import validate_theta
 from repro.hierarchy.base import Hierarchy, PrefixKey
 
@@ -40,8 +41,7 @@ class ExactHHH(HHHAlgorithm):
     # ------------------------------------------------------------------ #
 
     def update(self, key: Hashable, weight: int = 1) -> None:
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
+        check_weight(weight)
         self._counts[key] += weight
         self._total += weight
 

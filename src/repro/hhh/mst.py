@@ -9,17 +9,12 @@ correction.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.core.base import HHHOutput
-from repro.core.batch import (
-    apply_lattice_batch,
-    apply_lattice_batch_scalar,
-    check_weight,
-    coerce_key_array,
-    coerce_weights,
-)
-from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
+from repro.core.batch import check_weight
+from repro.core.output import CounterLike, OutputCache, lattice_output, validate_theta
+from repro.core.rhhh import LatticeHHH, PlanGroup
 from repro.exceptions import ConfigurationError
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
@@ -60,57 +55,9 @@ class MST(LatticeHHH):
             counters[node].update(generalize(key), weight)
         self._bump_versions()
 
-    def update_batch(
-        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
-    ) -> None:
-        """Vectorized batch update: every node sees every packet, pre-aggregated.
-
-        Each node's batch generalizer masks the whole key array at once and
-        duplicate masked keys collapse into one weighted update per distinct
-        key, applied in ascending key order.  The per-node counter totals
-        match a per-packet :meth:`update` loop exactly; the counter summaries
-        themselves can differ in eviction choices because aggregation
-        reorders same-node updates - :meth:`update_batch_reference` replays
-        the exact batch semantics with scalar loops and is bit-identical to
-        this method.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        keys_arr = coerce_key_array(keys, n)
-        self._total += total_weight
-        self._bump_versions()
-        if keys_arr is None:
-            # Keys numpy cannot mask vectorially: same batch semantics
-            # (aggregate per node, ascending key order), scalar machinery.
-            apply_lattice_batch_scalar(
-                self._counters,
-                self._generalizers,
-                list(self._iter_batch_keys(keys)),
-                weights_arr,
-            )
-            return
-        apply_lattice_batch(self._counters, self._batch_generalizers, keys_arr, weights_arr)
-
-    def update_batch_reference(
-        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
-    ) -> None:
-        """Scalar specification of :meth:`update_batch` (pure-Python loops).
-
-        Aggregates with per-node dictionaries and applies plain ``update``
-        calls in ascending key order; a same-stream instance fed through
-        either method reaches a bit-identical state.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        self._total += total_weight
-        self._bump_versions()
-        apply_lattice_batch_scalar(
-            self._counters, self._generalizers, list(self._iter_batch_keys(keys)), weights_arr
-        )
+    def _plan(self, n: int) -> Iterable[PlanGroup]:
+        """Every node counts every packet of the batch."""
+        return [(node, None) for node in range(self._hierarchy.size)]
 
     def query(
         self,

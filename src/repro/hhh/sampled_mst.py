@@ -12,21 +12,16 @@ that tail-latency difference (``benchmarks/bench_ablation_worst_case.py``).
 from __future__ import annotations
 
 import random
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.bounds import coverage_correction
 from repro.core.base import HHHOutput
-from repro.core.batch import (
-    apply_lattice_batch,
-    apply_lattice_batch_scalar,
-    check_weight,
-    coerce_key_array,
-    coerce_weights,
-)
+from repro.core.batch import check_weight
 from repro.core.determinism import resolve_seed
-from repro.core.output import CounterLike, LatticeHHH, OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, OutputCache, lattice_output, validate_theta
+from repro.core.rhhh import LatticeHHH, PlanGroup
 from repro.exceptions import ConfigurationError
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
@@ -99,91 +94,13 @@ class SampledMST(LatticeHHH):
             counters[node].update(generalize(key), weight)
         self._bump_versions()
 
-    def _draw_samples(self, count: int) -> np.ndarray:
-        """Pre-draw the coin flips of ``count`` packets in one RNG call.
-
-        Both batch paths share this helper so they consume the numpy RNG
-        stream identically.
-        """
-        return self._batch_rng.random(count)
-
-    def update_batch(
-        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
-    ) -> None:
-        """Vectorized batch update: coin flips in bulk, MST batch on the sample.
-
-        Every packet draws one uniform from this instance's numpy Generator;
-        the sampled subset then takes the same vectorized every-node
-        aggregated path as :meth:`MST.update_batch`.  The sampling process
-        matches a per-packet :meth:`update` loop in distribution, but the
-        flips come from the numpy Generator rather than ``random.Random``,
-        so a batch-fed instance and an update()-fed instance diverge even
-        with equal seeds.  :meth:`update_batch_reference` replays the exact
-        batch semantics with scalar loops and is bit-identical.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        keys_arr = coerce_key_array(keys, n)
-        if keys_arr is None:
-            self._apply_batch_scalar(
-                list(self._iter_batch_keys(keys)), weights_arr, self._draw_samples(n)
-            )
-            self._total += total_weight
-            return
-        draws = self._draw_samples(n)
-        self._total += total_weight
-        sampled = draws < self._p
-        picked = int(sampled.sum())
-        if picked == 0:
-            return
-        self._sampled += picked
-        self._bump_versions()
-        sub_keys = keys_arr[sampled]
-        sub_weights = weights_arr[sampled] if weights_arr is not None else None
-        apply_lattice_batch(self._counters, self._batch_generalizers, sub_keys, sub_weights)
-
-    def update_batch_reference(
-        self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
-    ) -> None:
-        """Scalar specification of :meth:`update_batch` (pure-Python loops).
-
-        Consumes the same pre-drawn coin flips and applies the same
-        aggregate-per-node / ascending-key-order semantics with scalar
-        generalizers and counter updates; a same-seed instance fed through
-        either method reaches a bit-identical state.
-        """
-        n = len(keys)
-        if n == 0:
-            return
-        weights_arr, total_weight = coerce_weights(weights, n)
-        self._total += total_weight
-        self._apply_batch_scalar(
-            list(self._iter_batch_keys(keys)), weights_arr, self._draw_samples(n)
-        )
-
-    def _apply_batch_scalar(self, keys, weights_arr, draws) -> None:
-        """Apply pre-drawn coin flips to a batch with scalar loops."""
-        p = self._p
-        picked_keys = []
-        picked_weights = [] if weights_arr is not None else None
-        weight_list = weights_arr.tolist() if weights_arr is not None else None
-        for i, key in enumerate(keys):
-            if draws[i] < p:
-                picked_keys.append(key)
-                if picked_weights is not None:
-                    picked_weights.append(weight_list[i])
-        if not picked_keys:
-            return
-        self._sampled += len(picked_keys)
-        self._bump_versions()
-        apply_lattice_batch_scalar(
-            self._counters,
-            self._generalizers,
-            picked_keys,
-            np.asarray(picked_weights, dtype=np.int64) if picked_weights is not None else None,
-        )
+    def _plan(self, n: int) -> Iterable[PlanGroup]:
+        """One coin per packet, drawn in one RNG call; every node counts the sampled rows."""
+        rows = np.flatnonzero(self._batch_rng.random(n) < self._p)
+        if rows.size == 0:
+            return ()
+        self._sampled += int(rows.size)
+        return [(node, rows) for node in range(self._hierarchy.size)]
 
     def query(
         self,

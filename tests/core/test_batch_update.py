@@ -162,7 +162,7 @@ def _weighted_engine(name, hierarchy):
 class TestWeightValidation:
     """A fractional weight or one below 1 is rejected before any RNG draw or state change."""
 
-    ENGINES = ["rhhh", "mst", "sampled_mst", "sharded"]
+    ENGINES = ["rhhh", "mst", "sampled_mst", "sharded", "exact", "full_ancestry", "partial_ancestry"]
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(

@@ -77,13 +77,6 @@ class TestUpdateMechanics:
             b.node_counter(n).total for n in range(5)
         ]
 
-    def test_update_fast_equivalent_counting(self, byte_hierarchy):
-        algorithm = RHHH(byte_hierarchy, epsilon=0.05, delta=0.1, seed=8)
-        for _ in range(1_000):
-            algorithm.update_fast(ipv4_to_int("1.2.3.4"))
-        assert algorithm.total == 1_000
-        assert sum(algorithm.node_counter(n).total for n in range(5)) == 1_000
-
     def test_weighted_update(self, byte_hierarchy):
         algorithm = RHHH(byte_hierarchy, epsilon=0.05, delta=0.1, seed=9)
         algorithm.update(ipv4_to_int("1.1.1.1"), weight=10)

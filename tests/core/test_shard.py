@@ -83,7 +83,9 @@ class TestShardSeeds:
             RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=seed)
             for seed in spawn_shard_seeds(123, 4)
         ]
-        batch_draws = [replica._draw_nodes(256).tolist() for replica in replicas]
+        batch_draws = [
+            replica._batch_rng.integers(0, replica.v, size=256).tolist() for replica in replicas
+        ]
         scalar_draws = [
             [replica._rng.randrange(replica.v) for _ in range(256)] for replica in replicas
         ]

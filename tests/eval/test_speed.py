@@ -17,38 +17,15 @@ def keys():
 
 
 class TestMeasureUpdateSpeed:
-    def test_uses_the_unit_weight_fast_path_when_present(self, keys):
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_multi_update_variant_keeps_its_r_fold_semantics(self, keys, r):
+        # Every packet must take the full update(): r counter updates or
+        # ignores each, all of them tallied.
         hierarchy = ipv4_byte_hierarchy()
-        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=1)
-        calls = {"fast": 0}
-        original = algorithm.update_fast
-
-        def counting_fast(key):
-            calls["fast"] += 1
-            original(key)
-
-        algorithm.update_fast = counting_fast
-        result = measure_update_speed(algorithm, keys)
-        assert calls["fast"] == len(keys)
-        assert result.packets == len(keys)
-        assert algorithm.total == len(keys)
-
-    def test_multi_update_variant_keeps_its_r_fold_semantics(self, keys):
-        # update_fast performs a single update per packet, so the fast path
-        # must not stand in for update() when updates_per_packet > 1.
-        hierarchy = ipv4_byte_hierarchy()
-        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=1, updates_per_packet=4)
-        measure_update_speed(algorithm, keys[:1_000])
-        assert algorithm.counter_updates + algorithm.ignored_packets == 4 * 1_000
-
-    def test_falls_back_to_update_without_fast_path(self, keys):
-        hierarchy = ipv4_byte_hierarchy()
-        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=1)
-        # Simulate an algorithm without the fast path.
-        algorithm.update_fast = None
-        result = measure_update_speed(algorithm, keys[:500])
-        assert result.packets == 500
-        assert algorithm.total == 500
+        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=1, updates_per_packet=r)
+        result = measure_update_speed(algorithm, keys[:1_000])
+        assert result.packets == algorithm.total == 1_000
+        assert algorithm.counter_updates + algorithm.ignored_packets == r * 1_000
 
     def test_accepts_2d_numpy_key_arrays(self):
         # Regression: iterating an (n, 2) array directly fed unhashable

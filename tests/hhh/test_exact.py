@@ -106,5 +106,5 @@ class TestExactHHHSet:
             ExactHHH(byte_hierarchy).output(theta=0.0)
 
     def test_rejects_negative_weight(self, byte_hierarchy):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="weights must be >= 1"):
             ExactHHH(byte_hierarchy).update(ipv4_to_int("1.1.1.1"), weight=-1)
