@@ -36,7 +36,9 @@ SPACE_SAVING_BYTES_PER_COUNTER = 220
 #: Estimated bytes per array-backed Space Saving counter: three int64 array
 #: cells (count, error, stamp), one key-list slot, and one ``key -> slot``
 #: dict entry - no linked-bucket objects, hence cheaper than the classic
-#: structure.
+#: structure.  While batches run, a packed-key index of four int64 cells
+#: (key, insertion time and their sorted lookup copy) stands in for the
+#: key-list slot and dict entry; after a query both are held.
 ARRAY_SPACE_SAVING_BYTES_PER_COUNTER = 150
 
 #: Estimated bytes per entry of a plain ``{key: value}`` counter table

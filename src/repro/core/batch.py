@@ -31,15 +31,27 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.hh.array_space_saving import pack_keys, unpack_keys
 
 
 def unique_totals(values: np.ndarray, weights: Optional[np.ndarray], *, axis=None):
-    """Unique values (ascending) and their int64 total weights (counts if unweighted)."""
+    """Unique values (ascending) and their int64 total weights (counts if unweighted).
+
+    The weighted ``bincount`` sums in float64, which is exact while every
+    partial sum stays below ``2**53``; batches that could pass it are summed
+    exactly in int64 instead, so the totals always match a per-key scalar
+    sum.
+    """
     if weights is None:
         unique, counts = np.unique(values, axis=axis, return_counts=True)
         return unique, counts.astype(np.int64)
     unique, inverse = np.unique(values, axis=axis, return_inverse=True)
-    return unique, np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
+    inverse = inverse.ravel()
+    if weights.size == 0 or int(weights.max()) * weights.size < (1 << 53):
+        return unique, np.bincount(inverse, weights=weights).astype(np.int64)
+    totals = np.zeros(len(unique), dtype=np.int64)
+    np.add.at(totals, inverse, weights)
+    return unique, totals
 
 
 def aggregated_arrays(masked, weights: Optional[np.ndarray]) -> Tuple[list, np.ndarray]:
@@ -54,21 +66,13 @@ def aggregated_arrays(masked, weights: Optional[np.ndarray]) -> Tuple[list, np.n
     from the scalar-loop fallback.
     """
     if isinstance(masked, np.ndarray):
-        if masked.ndim == 2 and masked.dtype.kind in "iu" and masked.shape[1] == 2:
-            # Pack (src, dst) pairs that fit 32 bits each into one uint64 so
-            # np.unique runs a flat integer sort instead of the much slower
-            # structured-row sort; uint64 order == lexicographic pair order.
-            # OR-ing every element into one scalar checks both bounds in a
-            # single reduction pass: any negative value drives the OR
-            # negative, any value >= 2**32 sets a high bit.
-            if masked.size == 0 or 0 <= int(np.bitwise_or.reduce(masked, axis=None)) < 1 << 32:
-                packed = (masked[:, 0].astype(np.uint64) << np.uint64(32)) | masked[
-                    :, 1
-                ].astype(np.uint64)
-                unique, totals = unique_totals(packed, weights)
-                sources = (unique >> np.uint64(32)).astype(np.int64).tolist()
-                destinations = (unique & np.uint64(0xFFFFFFFF)).astype(np.int64).tolist()
-                return list(zip(sources, destinations)), totals
+        # (src, dst) pairs that fit 32 bits each pack into one uint64, so
+        # np.unique runs a flat integer sort instead of the much slower
+        # structured-row sort; uint64 order == lexicographic pair order.
+        packed = pack_keys(masked) if masked.ndim == 2 else None
+        if packed is not None:
+            unique, totals = unique_totals(packed, weights)
+            return unpack_keys(unique), totals
         axis = 0 if masked.ndim == 2 else None
         unique, totals = unique_totals(masked, weights, axis=axis)
         if masked.ndim == 2:
@@ -99,23 +103,21 @@ def unique_key_array(masked, weights: Optional[np.ndarray]):
     """Aggregate a numeric masked batch keeping the unique keys in array form.
 
     Array-native view of :func:`aggregated_arrays` for counters that declare
-    ``AGGREGATED_KEY_ARRAYS`` (the sketches): same ascending key order, same
-    int64 totals, but the unique keys stay a numpy array - 1-D for scalar
-    keys, ``(n, 2)`` for pairs - so the counter can hash them without a
-    Python list round-trip.  Returns ``(None, None)`` when the batch is not
-    a numeric key array (the caller falls back to the list form).
+    ``AGGREGATED_KEY_ARRAYS`` (the sketches and the array Space Saving):
+    same ascending key order, same int64 totals, but the unique keys stay a
+    numpy array - 1-D for scalar keys, ``(n, 2)`` for pairs - so the counter
+    can hash or pack them without a Python list round-trip.  Returns
+    ``(None, None)`` when the batch is not a numeric key array (the caller
+    falls back to the list form).
     """
     if not isinstance(masked, np.ndarray) or masked.dtype.kind not in "iu":
         return None, None
     if masked.ndim == 1:
         return unique_totals(masked, weights)
     if masked.ndim == 2 and masked.shape[1] == 2:
-        # Same packing trick (and the same single-reduction bounds check) as
-        # aggregated_arrays, so both forms emit identical key order.
-        if masked.size == 0 or 0 <= int(np.bitwise_or.reduce(masked, axis=None)) < 1 << 32:
-            packed = (masked[:, 0].astype(np.uint64) << np.uint64(32)) | masked[:, 1].astype(
-                np.uint64
-            )
+        # Same packing as aggregated_arrays, so both forms emit identical key order.
+        packed = pack_keys(masked)
+        if packed is not None:
             unique, totals = unique_totals(packed, weights)
             pairs = np.empty((len(unique), 2), dtype=np.int64)
             pairs[:, 0] = (unique >> np.uint64(32)).astype(np.int64)
@@ -131,10 +133,11 @@ def feed_counter(counter, masked, weights: Optional[np.ndarray]) -> None:
     Counters that expose ``update_aggregated(keys, weights)`` (the
     struct-of-arrays backends) receive the aggregation output verbatim -
     distinct keys plus an int64 weight array.  Backends that additionally
-    declare ``AGGREGATED_KEY_ARRAYS = True`` (the sketches) get the unique
-    keys as a numpy array when the batch is numeric, skipping the Python
-    list round-trip entirely; everything else gets a key list, or the
-    equivalent ``(key, weight)`` pair stream via ``update_batch``.
+    declare ``AGGREGATED_KEY_ARRAYS = True`` (the sketches and the array
+    Space Saving) get the unique keys as a numpy array when the batch is
+    numeric, skipping the Python list round-trip entirely; everything else
+    gets a key list, or the equivalent ``(key, weight)`` pair stream via
+    ``update_batch``.
     """
     fast = getattr(counter, "update_aggregated", None)
     if fast is not None and getattr(counter, "AGGREGATED_KEY_ARRAYS", False):
@@ -241,15 +244,19 @@ def coerce_weights(
 def group_by_node(nodes: np.ndarray, packets: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
     """Group per-update node choices, yielding ``(node, packet_indices)`` pairs.
 
-    ``nodes[i]`` is the lattice node of the ``i``-th surviving update and
-    ``packets[i]`` the packet index it applies to.  Groups come out in
-    ascending node order; within a group the packet indices keep their
-    stream order (stable sort), which the aggregation step then normalizes
-    into ascending key order.
+    ``nodes[i]`` is the (non-negative) lattice node of the ``i``-th
+    surviving update and ``packets[i]`` the packet index it applies to.
+    Groups come out in ascending node order; within a group the packet
+    indices keep their stream order (stable sort), which the aggregation
+    step then normalizes into ascending key order.
     """
-    order = np.argsort(nodes, kind="stable")
-    sorted_nodes = nodes[order]
-    sorted_packets = packets[order]
-    unique_nodes, first = np.unique(sorted_nodes, return_index=True)
-    groups = np.split(sorted_packets, first[1:])
-    return zip(unique_nodes.tolist(), groups)
+    if nodes.size == 0:
+        return iter(())
+    # Node ids are below H: in the smallest unsigned dtype that holds them
+    # numpy's stable sort is a radix sort, with the same permutation.
+    narrow = nodes.astype(np.min_scalar_type(int(nodes.max())), copy=False)
+    order = np.argsort(narrow, kind="stable")
+    sizes = np.bincount(narrow)
+    present = np.flatnonzero(sizes)
+    groups = np.split(packets[order], np.cumsum(sizes[present])[:-1])
+    return zip(present.tolist(), groups)

@@ -3,18 +3,47 @@
 :class:`ArraySpaceSaving` keeps the same summary as the linked-bucket
 :class:`~repro.hh.space_saving.SpaceSaving` - a fixed table of
 ``(key, count, error)`` counters with minimum-count eviction - but stores it
-as parallel numpy arrays (``counts``, ``errors``, ``stamps``) plus a
-``key -> slot`` dict, so the batch engine's pre-aggregated ``(key, weight)``
-streams can be applied with bulk array operations instead of one linked-list
-walk per key:
+as parallel numpy arrays (``counts``, ``errors``, ``stamps``), so the batch
+engine's pre-aggregated ``(key, weight)`` streams can be applied with bulk
+array operations instead of one linked-list walk per key.
 
-* **hits** (keys already monitored) are incremented with one fancy-indexed
-  add per batch;
-* **free-slot inserts** are written with one sliced assignment;
+Two key indexes
+---------------
+
+Which key sits in which slot is held by one of two indexes, and exactly one
+of them is authoritative at a time:
+
+* the **scalar index** - a ``key -> slot`` dict plus the per-slot key list -
+  serves scalar ``update`` calls and every query;
+* the **batch index** - the keys packed into one integer array (int64 for
+  1-D keys in ``[0, 2**63)``, uint64 ``src << 32 | dst`` for pairs of 32-bit
+  values) plus an ``entered`` array holding each slot's insertion time,
+  which is the dict's iteration order - serves the batch path.
+
+A batch that inserts any key drops the scalar index; a scalar insert or
+eviction drops the batch index.  Hits change no key, so they keep both.
+Each index is rebuilt from the other in one vectorized step, and only when
+its side next needs it: a query after a batch unpacks the keys and orders
+them by ``entered``; a batch after scalar writes packs the key list.
+
+On the batch index a batch of ``b`` distinct keys costs no per-key Python
+work outside the heap replay below:
+
+* **hits** (keys already monitored) are found with one ``searchsorted``
+  against a lazily sorted copy of the packed keys and incremented with one
+  fancy-indexed add;
+* **free-slot inserts** are written with sliced assignments;
 * **evictions** run in sorted waves that each apply a provably exact prefix
-  of the misses with bulk scatters; a stalled wave tail is replayed through a
-  lazily invalidated min-heap seeded from the ``argpartition``-selected
-  smallest slots.
+  of the misses with bulk scatters (counts, errors, stamps, packed keys and
+  ``entered``); a stalled wave tail is replayed through a lazily invalidated
+  min-heap seeded from the ``argpartition``-selected smallest slots, the one
+  place a per-key loop remains.
+
+Keys that do not pack - strings, ints ``>= 2**63`` or negative, pairs with a
+component ``>= 2**32``, or a batch whose key kind differs from the keys
+already stored - take the scalar twin
+:meth:`ArraySpaceSaving.update_batch_reference` instead, with the same
+result.
 
 Equivalence contract
 --------------------
@@ -26,13 +55,14 @@ order.  ``update_batch`` leaves the summary in exactly the state the scalar
 twin :meth:`ArraySpaceSaving.update_batch_reference` reaches - that order fed
 through :meth:`ArraySpaceSaving.update` - and the state the linked-bucket
 implementation reaches on the same batch: same monitored set, same counts,
-same errors, same total.  The one subtle part is the eviction tie-break.  The
-linked structure evicts the key that entered the minimum-count bucket
-*earliest*; this implementation reproduces that order with a ``stamps``
-array holding the logical time at which each slot last changed its count -
-the victim is the lexicographic minimum of ``(count, stamp)``.  The
-equivalence suite in ``tests/hh/test_array_space_saving.py`` checks this
-property-style against the linked implementation.
+same errors, same total, same iteration order.  The one subtle part is the
+eviction tie-break.  The linked structure evicts the key that entered the
+minimum-count bucket *earliest*; this implementation reproduces that order
+with a ``stamps`` array holding the logical time at which each slot last
+changed its count - the victim is the lexicographic minimum of
+``(count, stamp)``.  The equivalence suite in
+``tests/hh/test_array_space_saving.py`` checks this property-style against
+the linked implementation.
 
 Two deliberate differences from the linked implementation, both outside the
 aggregated-batch contract: ``update_batch`` validates all weights up front
@@ -41,7 +71,8 @@ raises), and a batch with duplicate keys - which the batch engine never
 produces - is replayed through scalar ``update`` calls rather than the bulk
 paths.
 
-Complexity: a batch of ``b`` pairs costs O(b) dict lookups plus O(b) bulk
+Complexity: a packed batch of ``b`` keys costs one ``searchsorted`` (plus a
+sort of the table when keys changed since the last batch) and O(b) bulk
 array work per wave; the heap replay adds O(log m) heap work per evicted key
 (``m`` = candidate pool size).  Scalar ``update`` is O(log m) amortized
 against the same heap (rebuilt lazily after bulk operations), not the O(1)
@@ -53,18 +84,73 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, Hashable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
 from repro.hh.merge import merge_space_saving
+from repro.hh.sketch_batch import key_objects
 from repro.hh.space_saving import hits_first
 
 #: Below this wave length the sorted-wave eviction keeps re-sorting the table
 #: for almost no progress; the rest of the misses go through the heap replay.
 _WAVE_MIN = 8
+
+_INT_LIMIT = 1 << 63
+_PAIR_LIMIT = 1 << 32
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def pack_keys(keys) -> Optional[np.ndarray]:
+    """Keys as one packed integer array, or ``None`` if they do not pack.
+
+    1-D integer keys in ``[0, 2**63)`` pack into int64; ``(src, dst)`` pairs
+    with both members in ``[0, 2**32)`` pack into uint64 ``src << 32 | dst``,
+    whose order is the lexicographic pair order.  ``keys`` is a 1-D or
+    ``(n, 2)`` integer array, or a list of Python ints or of 2-tuples of
+    Python ints (any other element type - bools, numpy scalars, strings -
+    does not pack, so unpacking always gives back equal keys of the same
+    type).
+    """
+    if not isinstance(keys, np.ndarray):
+        keys = _key_list_array(keys)
+        if keys is None:
+            return None
+    if keys.dtype.kind not in "iu":
+        return None
+    # OR-ing every element into one scalar checks both bounds in a single
+    # reduction: a negative value drives the OR negative, a value past the
+    # limit sets a high bit.
+    bits = int(np.bitwise_or.reduce(keys, axis=None))
+    if keys.ndim == 1:
+        return keys.astype(np.int64, copy=False) if 0 <= bits < _INT_LIMIT else None
+    if keys.ndim == 2 and keys.shape[1] == 2 and 0 <= bits < _PAIR_LIMIT:
+        pairs = keys.astype(np.uint64)
+        return (pairs[:, 0] << np.uint64(32)) | pairs[:, 1]
+    return None
+
+
+def _key_list_array(keys) -> Optional[np.ndarray]:
+    """A list of Python ints or int 2-tuples as an int64 array, else ``None``."""
+    types = set(map(type, keys))
+    if types == {tuple}:
+        if set(map(len, keys)) != {2} or set(map(type, itertools.chain.from_iterable(keys))) != {int}:
+            return None
+    elif types != {int}:
+        return None
+    try:
+        return np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def unpack_keys(packed: np.ndarray) -> list:
+    """Inverse of :func:`pack_keys`: Python ints, or 2-tuples for uint64 pairs."""
+    if packed.dtype == np.int64:
+        return packed.tolist()
+    return list(zip((packed >> np.uint64(32)).tolist(), (packed & _LOW32).tolist()))
 
 
 class ArraySpaceSaving(CounterAlgorithm):
@@ -75,6 +161,11 @@ class ArraySpaceSaving(CounterAlgorithm):
             capacity is set to ``ceil(1/epsilon)``.
         epsilon: relative error target; ignored when ``capacity`` is given.
     """
+
+    #: ``repro.core.batch.feed_counter`` hands this backend a numeric batch's
+    #: unique keys as an array, which the batch index packs without a
+    #: Python list round-trip.
+    AGGREGATED_KEY_ARRAYS = True
 
     def __init__(self, capacity: Optional[int] = None, *, epsilon: Optional[float] = None) -> None:
         super().__init__()
@@ -92,9 +183,17 @@ class ArraySpaceSaving(CounterAlgorithm):
         # Logical time of each slot's last count change; the eviction victim
         # is the minimum (count, stamp), matching the linked-bucket FIFO.
         self._stamps = np.zeros(capacity, dtype=np.int64)
-        # The key of each used slot; grows with ``_size`` up to the capacity.
-        self._keys: List[Hashable] = []
-        self._slot: Dict[Hashable, int] = {}
+        # Scalar index: the key of each used slot and the key -> slot dict
+        # (in insertion order); both None while the batch index rules.
+        self._keys: Optional[List[Hashable]] = []
+        self._slot: Optional[Dict[Hashable, int]] = {}
+        # Batch index: packed keys and insertion times per slot; None until
+        # a batch needs it and again after a scalar insert.
+        self._packed: Optional[np.ndarray] = None
+        self._entered: Optional[np.ndarray] = None
+        # (sorted packed keys, their slots) for the batch hit lookup; None
+        # whenever keys changed since it was taken.
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._size = 0
         self._clock = 0
         # Upper bound on the true count of keys absent from the summary, in
@@ -105,6 +204,49 @@ class ArraySpaceSaving(CounterAlgorithm):
         # array (stamps are unique per write); bulk paths drop the heap
         # entirely and the next scalar eviction rebuilds it.
         self._heap: Optional[list] = None
+
+    # ------------------------------------------------------------------ #
+    # the two key indexes
+    # ------------------------------------------------------------------ #
+
+    def _scalar_index(self) -> Dict[Hashable, int]:
+        """The ``key -> slot`` dict, unpacked from the batch index if it was dropped.
+
+        Hot callers write ``self._slot or self._scalar_index()``: the call
+        happens only when a batch dropped the dict (or it is empty, when it
+        returns that same dict).
+        """
+        slot_of = self._slot
+        if slot_of is None:
+            size = self._size
+            keys = self._keys = unpack_keys(self._packed[:size])
+            order = np.argsort(self._entered[:size]).tolist()
+            slot_of = self._slot = dict(zip(map(keys.__getitem__, order), order))
+        return slot_of
+
+    def _batch_index(self, dtype: np.dtype) -> bool:
+        """Make the batch index current; ``False`` if its keys do not pack as ``dtype``.
+
+        Built from the scalar index when a scalar write dropped it: the key
+        list packs in one step, and each slot's rank in the dict becomes its
+        insertion time (ranks stay below every later stamp, since the clock
+        is never behind the number of keys).
+        """
+        if self._packed is not None:
+            return self._packed.dtype == dtype
+        size = self._size
+        keys = pack_keys(self._keys) if size else np.empty(0, dtype=dtype)
+        if keys is None or keys.dtype != dtype:
+            return False
+        self._packed = np.zeros(self._capacity, dtype=dtype)
+        self._packed[:size] = keys
+        self._entered = np.zeros(self._capacity, dtype=np.int64)
+        self._entered[np.fromiter(self._slot.values(), dtype=np.int64, count=size)] = np.arange(size)
+        self._sorted = None
+        return True
+
+    def _drop_batch_index(self) -> None:
+        self._packed = self._entered = self._sorted = None
 
     # ------------------------------------------------------------------ #
     # scalar path
@@ -122,10 +264,11 @@ class ArraySpaceSaving(CounterAlgorithm):
     def update(self, key: Hashable, weight: int = 1) -> None:
         if weight <= 0:
             raise ValueError("weight must be positive")
+        slot_of = self._slot or self._scalar_index()
         self._total += weight
         self._clock += 1
         stamp = self._clock
-        slot = self._slot.get(key)
+        slot = slot_of.get(key)
         heap = self._heap
         if heap is not None and len(heap) > 8 * self._capacity + 64:
             # Every write pushes a fresh entry and only evictions pop, so a
@@ -139,11 +282,13 @@ class ArraySpaceSaving(CounterAlgorithm):
             if heap is not None:
                 heapq.heappush(heap, (count, stamp, slot))
             return
+        if self._packed is not None:
+            self._drop_batch_index()
         if self._size < self._capacity:
             slot = self._size
             self._size += 1
             self._keys.append(key)
-            self._slot[key] = slot
+            slot_of[key] = slot
             self._counts[slot] = weight
             self._errors[slot] = 0
             self._stamps[slot] = stamp
@@ -158,9 +303,9 @@ class ArraySpaceSaving(CounterAlgorithm):
             count, victim_stamp, slot = heapq.heappop(heap)
             if stamps[slot] == victim_stamp:
                 break
-        del self._slot[self._keys[slot]]
+        del slot_of[self._keys[slot]]
         self._keys[slot] = key
-        self._slot[key] = slot
+        slot_of[key] = slot
         self._errors[slot] = count
         count += weight
         self._counts[slot] = count
@@ -202,37 +347,35 @@ class ArraySpaceSaving(CounterAlgorithm):
         The bulk array path is pinned against this loop: after either method
         the summary state must be bit-identical.
         """
-        for key, weight in hits_first(items, self._slot):
+        for key, weight in hits_first(items, self._scalar_index()):
             self.update(key, int(weight))
 
-    def update_aggregated(self, keys: List[Hashable], weights: np.ndarray) -> None:
+    def update_aggregated(self, keys, weights: np.ndarray) -> None:
         """Batch-engine fast path: aggregation output applied verbatim.
 
-        ``keys`` is a list of distinct keys and ``weights`` the matching
-        positive totals; this is exactly what
-        :func:`repro.core.batch.aggregated_arrays` emits, saved from being
-        zipped into pairs and re-materialized here.  Applied in the same
-        hits-first order as :meth:`update_batch`.
+        ``keys`` holds distinct keys - a list, or (``AGGREGATED_KEY_ARRAYS``)
+        the 1-D or ``(n, 2)`` unique-key array of
+        :func:`repro.core.batch.unique_key_array` - and ``weights`` the
+        matching positive totals.  Applied in the same hits-first order as
+        :meth:`update_batch`.
         """
         if len(keys) == 0:
             return
-        self._apply_aggregated(
-            keys if isinstance(keys, list) else list(keys),
-            np.asarray(weights, dtype=np.int64),
-        )
+        self._apply_aggregated(keys, np.asarray(weights, dtype=np.int64))
 
-    def _apply_aggregated(self, keys_in: List[Hashable], weights: np.ndarray) -> None:
-        n = len(keys_in)
+    def _apply_aggregated(self, keys, weights: np.ndarray) -> None:
         if int(weights.min()) <= 0:
             raise ValueError("weight must be positive")
+        packed = pack_keys(keys)
+        if packed is None or not self._batch_index(packed.dtype):
+            self.update_batch_reference(zip(key_objects(keys), weights.tolist()))
+            return
+        n = len(packed)
         self._total += int(weights.sum())
         self._heap = None
         clock = self._clock
         self._clock = clock + n
-        # map() drives dict.get at C speed; misses come back as -1.
-        slots = np.fromiter(
-            map(self._slot.get, keys_in, itertools.repeat(-1)), dtype=np.int64, count=n
-        )
+        slots = self._lookup(packed)
         hit_mask = slots >= 0
         hit_slots = slots[hit_mask]
         hits = hit_slots.size
@@ -242,15 +385,29 @@ class ArraySpaceSaving(CounterAlgorithm):
         self._stamps[hit_slots] = np.arange(clock + 1, clock + 1 + hits, dtype=np.int64)
         if hits == n:
             return
+        # Inserts change which keys the table holds: the batch index rules.
+        self._slot = self._keys = self._sorted = None
         miss_mask = ~hit_mask
         self._insert_misses(
-            list(itertools.compress(keys_in, miss_mask.tolist())),
+            packed[miss_mask],
             weights[miss_mask],
             np.arange(clock + 1 + hits, clock + 1 + n, dtype=np.int64),
         )
 
-    def _insert_misses(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> None:
-        """Insert distinct unmonitored keys in order: free slots, then evictions.
+    def _lookup(self, packed: np.ndarray) -> np.ndarray:
+        """Slot of each packed key, ``-1`` for keys the table does not hold."""
+        size = self._size
+        if size == 0:
+            return np.full(len(packed), -1, dtype=np.int64)
+        if self._sorted is None:
+            order = np.argsort(self._packed[:size])
+            self._sorted = (self._packed[order], order)
+        table, slots = self._sorted
+        index = np.minimum(np.searchsorted(table, packed), size - 1)
+        return np.where(table[index] == packed, slots[index], -1)
+
+    def _insert_misses(self, keys: np.ndarray, weights: np.ndarray, stamps: np.ndarray) -> None:
+        """Insert distinct unmonitored packed keys in order: free slots, then evictions.
 
         Eviction runs in sorted waves (:meth:`_evict_wave_run`); a wave tail
         that stalls is finished by the heap replay.
@@ -262,8 +419,8 @@ class ArraySpaceSaving(CounterAlgorithm):
             self._counts[size:end] = weights[:free]
             self._errors[size:end] = 0
             self._stamps[size:end] = stamps[:free]
-            self._keys[size:end] = keys[:free]
-            self._slot.update(zip(keys[:free], range(size, end)))
+            self._packed[size:end] = keys[:free]
+            self._entered[size:end] = stamps[:free]
             self._size = end
         if free == len(keys):
             return
@@ -271,7 +428,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         if start < len(keys):
             self._evict_heap_replay(keys[start:], weights[start:], stamps[start:])
 
-    def _evict_wave_run(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> int:
+    def _evict_wave_run(self, keys: np.ndarray, weights: np.ndarray, stamps: np.ndarray) -> int:
         """Evict a run of distinct misses in sorted waves; return how many were applied.
 
         One wave sorts the slots by ``(count, stamp)`` - the exact victim
@@ -281,16 +438,15 @@ class ArraySpaceSaving(CounterAlgorithm):
         (the cumulative-minimum chain below), because then no inserted key
         can re-enter the victim sequence, and strictness keeps stamp
         tie-breaks irrelevant.  The whole prefix is then applied with bulk
-        scatters, two dict writes per eviction.  On flat tail regions - the
-        steady state of a Zipf stream under eviction pressure - one wave
-        covers the whole table; once a wave is shorter than ``_WAVE_MIN`` the
-        run stops and the caller replays the rest through the heap.
+        scatters, packed keys and insertion times included.  On flat tail
+        regions - the steady state of a Zipf stream under eviction pressure -
+        one wave covers the whole table; once a wave is shorter than
+        ``_WAVE_MIN`` the run stops and the caller replays the rest through
+        the heap.
         """
         counts = self._counts
         errors = self._errors
         table_stamps = self._stamps
-        keys_list = self._keys
-        slot_of = self._slot
         start = 0
         total = len(keys)
         while start < total:
@@ -308,28 +464,25 @@ class ArraySpaceSaving(CounterAlgorithm):
             errors[victims] = pool_counts[:wave]
             counts[victims] = inserted[:wave]
             table_stamps[victims] = stamps[start : start + wave]
-            for slot, key in zip(victims.tolist(), keys[start : start + wave]):
-                del slot_of[keys_list[slot]]
-                keys_list[slot] = key
-                slot_of[key] = slot
+            self._packed[victims] = keys[start : start + wave]
+            self._entered[victims] = stamps[start : start + wave]
             start += wave
             if wave < _WAVE_MIN:
                 break
         return start
 
-    def _evict_heap_replay(self, keys: List[Hashable], weights: np.ndarray, stamps: np.ndarray) -> None:
+    def _evict_heap_replay(self, keys: np.ndarray, weights: np.ndarray, stamps: np.ndarray) -> None:
         """Exact one-by-one eviction of distinct misses through a heap.
 
         Seeds a min-heap with the ``len(keys)`` lexicographically smallest
         ``(count, stamp)`` slots - every victim that is not a slot written by
         this replay lies among them - and walks the misses in order on plain
         Python state: numpy scalar indexing in a tight loop costs more than
-        the dict/heap work it would replace.  Stale heap entries are skipped
-        by stamp comparison ("lazy re-sorting") instead of re-ordering on
-        every write.
+        the heap work it would replace.  Stale heap entries are skipped by
+        stamp comparison ("lazy re-sorting") instead of re-ordering on every
+        write.  The loop only records each miss's victim slot; the packed
+        keys and insertion times are scattered afterwards.
         """
-        keys_list = self._keys
-        slot_of = self._slot
         pool = self._smallest_slots(len(keys))
         counts_l = self._counts.tolist()
         errors_l = self._errors.tolist()
@@ -338,14 +491,13 @@ class ArraySpaceSaving(CounterAlgorithm):
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
-        for key, weight, stamp in zip(keys, weights.tolist(), stamps.tolist()):
+        victims = []
+        for weight, stamp in zip(weights.tolist(), stamps.tolist()):
             while True:
                 count, victim_stamp, slot = heappop(heap)
                 if stamps_l[slot] == victim_stamp:
                     break
-            del slot_of[keys_list[slot]]
-            keys_list[slot] = key
-            slot_of[key] = slot
+            victims.append(slot)
             errors_l[slot] = count
             count += weight
             counts_l[slot] = count
@@ -354,6 +506,12 @@ class ArraySpaceSaving(CounterAlgorithm):
         self._counts = np.asarray(counts_l, dtype=np.int64)
         self._errors = np.asarray(errors_l, dtype=np.int64)
         self._stamps = np.asarray(stamps_l, dtype=np.int64)
+        # A slot evicted again later in the replay keeps its last key.
+        slots = np.asarray(victims, dtype=np.int64)
+        _, first_from_end = np.unique(slots[::-1], return_index=True)
+        last = slots.size - 1 - first_from_end
+        self._packed[slots[last]] = keys[last]
+        self._entered[slots[last]] = stamps[last]
 
     def _smallest_slots(self, k: int) -> np.ndarray:
         """Indices of the ``k`` lexicographically smallest ``(count, stamp)`` slots.
@@ -380,13 +538,13 @@ class ArraySpaceSaving(CounterAlgorithm):
     # ------------------------------------------------------------------ #
 
     def estimate(self, key: Hashable) -> float:
-        slot = self._slot.get(key)
+        slot = (self._slot or self._scalar_index()).get(key)
         if slot is None:
             return float(self._min_count())
         return float(self._counts[slot])
 
     def upper_bound(self, key: Hashable) -> float:
-        slot = self._slot.get(key)
+        slot = (self._slot or self._scalar_index()).get(key)
         if slot is None:
             # An unmonitored key has true count at most the minimum counter
             # (plus the absent-key floor a merge may have introduced).
@@ -394,7 +552,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         return float(self._counts[slot])
 
     def lower_bound(self, key: Hashable) -> float:
-        slot = self._slot.get(key)
+        slot = (self._slot or self._scalar_index()).get(key)
         if slot is None:
             return 0.0
         return float(self._counts[slot] - self._errors[slot])
@@ -408,13 +566,13 @@ class ArraySpaceSaving(CounterAlgorithm):
         return int(self._counts[: self._size].min())
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._slot)
+        return iter(self._scalar_index())
 
     def __len__(self) -> int:
-        return len(self._slot)
+        return self._size
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._slot
+        return key in (self._slot or self._scalar_index())
 
     @property
     def capacity(self) -> int:
@@ -423,7 +581,7 @@ class ArraySpaceSaving(CounterAlgorithm):
 
     def error_of(self, key: Hashable) -> int:
         """Return the recorded overestimation error of a monitored key (0 if absent)."""
-        slot = self._slot.get(key)
+        slot = (self._slot or self._scalar_index()).get(key)
         if slot is None:
             return 0
         return int(self._errors[slot])
@@ -431,6 +589,12 @@ class ArraySpaceSaving(CounterAlgorithm):
     # ------------------------------------------------------------------ #
     # merging
     # ------------------------------------------------------------------ #
+
+    def _slot_keys(self) -> list:
+        """The key of each used slot, from whichever index is current."""
+        if self._keys is not None:
+            return self._keys
+        return unpack_keys(self._packed[: self._size])
 
     def _entries(self) -> List[tuple]:
         """Snapshot the summary as ``(key, count, error)`` tuples.
@@ -442,7 +606,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         order = np.lexsort((self._stamps[:size], self._counts[:size]))
         counts = self._counts.tolist()
         errors = self._errors.tolist()
-        keys = self._keys
+        keys = self._slot_keys()
         return [(keys[slot], counts[slot], errors[slot]) for slot in order.tolist()]
 
     def merge(self, other, *, disjoint: bool = False) -> None:
@@ -454,7 +618,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         :func:`repro.hh.merge.merged_space_saving_entries`, so the eviction
         tie-break order after a merge also stays consistent across the two
         implementations (fresh stamps in insertion order here, bucket FIFO
-        there).
+        there).  The result holds the scalar index only.
         """
         kept, total, floor = merge_space_saving(self, other, disjoint=disjoint)
         n = len(kept)
@@ -469,6 +633,7 @@ class ArraySpaceSaving(CounterAlgorithm):
             self._stamps[slot] = slot + 1
             self._keys.append(key)
             self._slot[key] = slot
+        self._drop_batch_index()
         self._size = n
         self._clock = n
         self._heap = None
@@ -481,10 +646,18 @@ class ArraySpaceSaving(CounterAlgorithm):
         ``_slot`` is rebuilt from the keys, so the pickle carries each key
         once; ``order`` records the slots in the dict's own iteration order,
         which a round trip (checkpoint, worker restart) preserves - and with
-        it the output's candidate order - bit-for-bit.  ``_heap`` is a
-        rebuildable cache and is dropped.
+        it the output's candidate order - bit-for-bit.  When the batch index
+        rules, ``keys`` is unpacked from ``_packed`` and ``order`` sorted from
+        ``_entered`` without building the dict, to the same state.
+        ``_heap`` and ``_sorted`` are rebuildable caches and are dropped.
         """
         size = self._size
+        if self._slot is None:
+            keys = unpack_keys(self._packed[:size])
+            order = np.argsort(self._entered[:size]).astype(np.int64, copy=False)
+        else:
+            keys = self._keys
+            order = np.fromiter(self._slot.values(), dtype=np.int64, count=size)
         return {
             "capacity": self._capacity,
             "total": self._total,
@@ -493,11 +666,12 @@ class ArraySpaceSaving(CounterAlgorithm):
             "counts": self._counts[:size],
             "errors": self._errors[:size],
             "stamps": self._stamps[:size],
-            "keys": self._keys,
-            "order": np.fromiter(self._slot.values(), dtype=np.int64, count=len(self._slot)),
+            "keys": keys,
+            "order": order,
         }
 
     def __setstate__(self, state: dict) -> None:
+        """Restore into the scalar index; the batch index is rebuilt by the next batch."""
         capacity = self._capacity = state["capacity"]
         keys = self._keys = list(state["keys"])
         size = self._size = len(keys)
@@ -511,4 +685,5 @@ class ArraySpaceSaving(CounterAlgorithm):
         self._errors[:size] = state["errors"]
         self._stamps[:size] = state["stamps"]
         self._slot = {keys[slot]: slot for slot in state["order"].tolist()}
+        self._packed = self._entered = self._sorted = None
         self._heap = None

@@ -64,6 +64,11 @@ class TestAggregateMasked:
         assert totals.dtype == np.int64
         assert totals.tolist() == [2, 1]
 
+    def test_weighted_totals_past_2_53_are_exact(self):
+        masked = np.asarray([5, 5, 5, 2])
+        weights = np.asarray([2**53 + 1, 1, 2, 7])
+        assert list(aggregate_masked(masked, weights)) == [(2, 7), (5, 2**53 + 4)]
+
 
 class TestCoercion:
     def test_coerce_key_array_passes_numpy_through(self):
@@ -98,6 +103,22 @@ class TestGroupByNode:
         packets = np.arange(5)
         groups = [(node, ids.tolist()) for node, ids in group_by_node(nodes, packets)]
         assert groups == [(0, [1, 4]), (1, [3]), (2, [0, 2])]
+
+    @pytest.mark.parametrize("h", [1, 25, 1_089, 70_000])
+    def test_matches_a_full_width_stable_sort(self, h):
+        # The draws are narrowed to the smallest unsigned dtype before the
+        # stable sort; the groups must be those of the int64 sort.
+        nodes = np.random.default_rng(h).integers(0, h, size=5_000)
+        packets = np.arange(5_000)
+        expected = {}
+        for node, packet in zip(nodes.tolist(), packets.tolist()):
+            expected.setdefault(node, []).append(packet)
+        groups = [(node, ids.tolist()) for node, ids in group_by_node(nodes, packets)]
+        assert groups == sorted(expected.items())
+
+    def test_no_draws_no_groups(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert list(group_by_node(empty, empty)) == []
 
 
 class TestFeedCounter:

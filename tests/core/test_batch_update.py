@@ -120,6 +120,21 @@ class TestRHHHBatchEquivalence:
         _feed(reference, keys, 1_000, reference=True, weights=list(weights))
         _assert_bit_identical(vectorized, reference)
 
+    def test_aggregate_weights_past_2_53_are_summed_exactly(self, byte_hierarchy):
+        # Regression: the weighted aggregation summed in float64, so a key's
+        # total past 2**53 lost its low bits on the vectorized path only.
+        make = lambda: RHHH(byte_hierarchy, epsilon=0.1, delta=0.1, seed=3)
+        vectorized, reference = make(), make()
+        weights = [2**53 + 1, 1, 2]
+        vectorized.update_batch([5, 5, 5], weights)
+        reference.update_batch_reference([5, 5, 5], weights)
+        for node in range(byte_hierarchy.size):
+            left = vectorized.node_counter(node).__getstate__()
+            right = reference.node_counter(node).__getstate__()
+            assert left["counts"].tolist() == right["counts"].tolist()
+            assert left["keys"] == right["keys"]
+        assert vectorized.node_counter(4).__getstate__()["counts"].tolist() == [2**53 + 1]
+
     def test_batch_total_and_sampling_tallies(self, byte_hierarchy, small_backbone_keys_1d):
         keys = small_backbone_keys_1d[:5_000]
         algorithm = RHHH(byte_hierarchy, epsilon=0.02, delta=0.05, seed=1, v=4 * byte_hierarchy.size)

@@ -12,6 +12,7 @@ lockstep after every step.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hh.array_space_saving import ArraySpaceSaving
+from repro.hh.sketch_batch import key_objects
 from repro.hh.space_saving import SpaceSaving
 
 
@@ -167,6 +169,68 @@ class TestBatchEquivalence:
             pairs = [(step * 1_000 + i, rng.randrange(1, 3)) for i in range(300)]
             linked.update_batch(list(pairs))
             array.update_batch(list(pairs))
+            assert _full_state(array) == _full_state(linked)
+
+
+def _int_keys(rng, count):
+    return np.asarray(rng.sample(range(40), count), dtype=np.int64)
+
+
+def _pair_keys(rng, count):
+    pool = [(src, dst) for src in range(7) for dst in range(7)]
+    return np.asarray(rng.sample(pool, count), dtype=np.int64).reshape(count, 2)
+
+
+def _unpackable_keys(rng, count):
+    kind = rng.choice(["str", "big_int", "big_pair"])
+    if kind == "str":
+        return [f"k{i}" for i in rng.sample(range(30), count)]
+    if kind == "big_int":
+        return [2**63 + i for i in rng.sample(range(30), count)]
+    return [(2**32 + i, 1) for i in rng.sample(range(30), count)]
+
+
+class TestKeyIndexTransitions:
+    """Random interleavings that move the array summary between its scalar
+    index (dict) and its batch index (packed keys) - scalar writes, packed
+    int and pair batches (as arrays and as pair lists), unpackable batches,
+    merges and pickle round-trips - in lockstep with the linked structure."""
+
+    @pytest.mark.parametrize("capacity", [1, 4, 12])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings(self, capacity, seed):
+        rng = random.Random(seed * 31 + capacity)
+        linked = SpaceSaving(capacity=capacity)
+        array = ArraySpaceSaving(capacity=capacity)
+        for _ in range(60):
+            step = rng.choice(["scalar", "ints", "pairs", "unpackable", "merge", "pickle"])
+            if step == "scalar":
+                for _ in range(rng.randrange(1, 8)):
+                    key = rng.choice([rng.randrange(40), (rng.randrange(7), rng.randrange(7))])
+                    weight = rng.randrange(1, 5)
+                    linked.update(key, weight)
+                    array.update(key, weight)
+            elif step in ("ints", "pairs", "unpackable"):
+                count = rng.randrange(1, min(3 * capacity + 3, 30))
+                make = {"ints": _int_keys, "pairs": _pair_keys, "unpackable": _unpackable_keys}
+                keys = make[step](rng, count)
+                weights = np.asarray([rng.randrange(1, 6) for _ in range(count)], dtype=np.int64)
+                pairs = list(zip(key_objects(keys), weights.tolist()))
+                linked.update_batch(pairs)
+                if rng.random() < 0.5:
+                    array.update_aggregated(keys, weights)
+                else:
+                    array.update_batch(pairs)
+            elif step == "merge":
+                pairs = [(key, rng.randrange(1, 4)) for key in rng.sample(range(40), 5)]
+                other_linked = SpaceSaving(capacity=capacity)
+                other_array = ArraySpaceSaving(capacity=capacity)
+                other_linked.update_batch(pairs)
+                other_array.update_batch(pairs)
+                linked.merge(other_linked)
+                array.merge(other_array)
+            else:
+                array = pickle.loads(pickle.dumps(array))
             assert _full_state(array) == _full_state(linked)
 
 
