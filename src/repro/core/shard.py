@@ -200,6 +200,13 @@ class LatticeMerger:
     aggregate keys from many replicas and take the generic merge, whose
     estimates stay within the *summed* per-replica error bounds.
 
+    The merger is backend-agnostic; the cost sits in the counters.  Worker
+    replicas' array Space Saving counters arrive over the pipe holding
+    their packed batch index, and in-process ones are deep-copied in the
+    form they hold, so each node's merge runs on packed keys with array
+    operations (:meth:`~repro.hh.array_space_saving.ArraySpaceSaving.merge`,
+    pinned to its scalar twin ``merge_reference``).
+
     Queries are incremental: each node's merged counter is cached under a
     driver-supplied signature (an equal signature promises an unchanged
     merge at that node), a rebuilt node bumps the merger's per-node version

@@ -45,6 +45,24 @@ already stored - take the scalar twin
 :meth:`ArraySpaceSaving.update_batch_reference` instead, with the same
 result.
 
+Merging and copying
+-------------------
+
+:meth:`ArraySpaceSaving.merge` of two array summaries whose keys pack to one
+dtype runs on the packed keys with array operations (sort the union, sum
+the pairs, charge one-sided keys, pick the canonical top ``capacity``) and
+leaves the result holding the batch index.  Every other merge takes the
+scalar twin :meth:`ArraySpaceSaving.merge_reference`, the entry-list merge
+of :mod:`repro.hh.merge`.
+
+Three copy forms exist.  ``__getstate__`` (plain ``pickle``, checkpoint
+bytes) is the flat key-list form and does not depend on which index is
+current.  The **pipe form**, registered with ``multiprocessing``'s
+``ForkingPickler`` and so used by every ``Connection.send`` between shard
+workers and their supervisor, ships the used-slot arrays with packed keys
+and rebuilds the counter holding the batch index.  ``deepcopy`` copies the
+arrays in whichever index form the table holds.
+
 Equivalence contract
 --------------------
 
@@ -84,13 +102,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hh.base import CounterAlgorithm
-from repro.hh.merge import merge_space_saving
+from repro.hh.merge import check_same_capacity, merge_space_saving
 from repro.hh.sketch_batch import key_objects
 from repro.hh.space_saving import hits_first
 
@@ -234,19 +253,42 @@ class ArraySpaceSaving(CounterAlgorithm):
         """
         if self._packed is not None:
             return self._packed.dtype == dtype
-        size = self._size
-        keys = pack_keys(self._keys) if size else np.empty(0, dtype=dtype)
+        keys = pack_keys(self._keys) if self._size else np.empty(0, dtype=dtype)
         if keys is None or keys.dtype != dtype:
             return False
-        self._packed = np.zeros(self._capacity, dtype=dtype)
-        self._packed[:size] = keys
-        self._entered = np.zeros(self._capacity, dtype=np.int64)
-        self._entered[np.fromiter(self._slot.values(), dtype=np.int64, count=size)] = np.arange(size)
-        self._sorted = None
+        self._set_batch_index(keys, self._dict_ranks())
         return True
+
+    def _dict_ranks(self) -> np.ndarray:
+        """Each used slot's rank in the ``key -> slot`` dict (its insertion order)."""
+        size = self._size
+        ranks = np.empty(size, dtype=np.int64)
+        ranks[np.fromiter(self._slot.values(), dtype=np.int64, count=size)] = np.arange(size)
+        return ranks
+
+    def _set_batch_index(self, packed: np.ndarray, entered: np.ndarray) -> None:
+        """Install the batch index from per-used-slot packed keys and insertion times."""
+        size = self._size
+        self._packed = np.zeros(self._capacity, dtype=packed.dtype)
+        self._packed[:size] = packed
+        self._entered = np.zeros(self._capacity, dtype=np.int64)
+        self._entered[:size] = entered
+        self._sorted = None
 
     def _drop_batch_index(self) -> None:
         self._packed = self._entered = self._sorted = None
+
+    def _slot_packed(self) -> Optional[np.ndarray]:
+        """The packed key of each used slot, or ``None`` if the keys do not pack.
+
+        Read-only: a table holding only the scalar index packs its key list
+        into a fresh array and keeps its indexes as they are.
+        """
+        if self._packed is not None:
+            return self._packed[: self._size]
+        if not self._size:
+            return np.empty(0, dtype=np.int64)
+        return pack_keys(self._keys)
 
     # ------------------------------------------------------------------ #
     # scalar path
@@ -612,33 +654,133 @@ class ArraySpaceSaving(CounterAlgorithm):
     def merge(self, other, *, disjoint: bool = False) -> None:
         """Fold another Space Saving summary (either implementation) into this one.
 
-        Same merged state (monitored set, counts, errors, total) as
-        :meth:`repro.hh.space_saving.SpaceSaving.merge` on the same inputs -
-        both rebuild from the canonical kept-entry order of
-        :func:`repro.hh.merge.merged_space_saving_entries`, so the eviction
-        tie-break order after a merge also stays consistent across the two
-        implementations (fresh stamps in insertion order here, bucket FIFO
-        there).  The result holds the scalar index only.
+        Same merged state (monitored set, counts, errors, total, absent-key
+        floor) as :meth:`repro.hh.space_saving.SpaceSaving.merge` on the same
+        inputs: the kept entries are the canonical top ``capacity`` of
+        :func:`repro.hh.merge.merged_space_saving_entries`, rebuilt in
+        ascending order with fresh stamps, so the eviction tie-break order
+        after a merge also stays consistent across the two implementations.
+
+        When ``other`` is an array summary whose keys pack to the same dtype
+        as this one's, the whole merge runs on the packed keys with array
+        operations and the result holds the batch index: the union is
+        sorted by key, each key both sides monitor sums its pair, a key one
+        side misses takes the other side's minimum count as its absent-key
+        charge (none when ``disjoint``), and a stable sort on count picks
+        the canonical order.  Every other case - a linked summary, keys that
+        do not pack, two different key kinds - takes :meth:`merge_reference`,
+        the scalar twin this path is pinned against.  ``other`` is only read.
+        """
+        keys = self._merge_keys(other)
+        if keys is None:
+            self.merge_reference(other, disjoint=disjoint)
+            return
+        check_same_capacity(self, other)
+        size_a, size_b = self._size, other._size
+        min_a, min_b = self._min_count(), other._min_count()
+        order = np.argsort(keys)
+        keys = keys[order]
+        counts = np.concatenate((self._counts[:size_a], other._counts[:size_b]))[order]
+        errors = np.concatenate((self._errors[:size_a], other._errors[:size_b]))[order]
+        # Each side's keys are distinct, so a key both sides monitor sorts
+        # into one adjacent pair (in either order: the pair sums commute).
+        first = np.flatnonzero(keys[1:] == keys[:-1])
+        second = first + 1
+        if not disjoint:
+            charge = np.where(order < size_a, min_b, min_a)
+            charge[first] = 0
+            charge[second] = 0
+            counts += charge
+            errors += charge
+        counts[first] += counts[second]
+        errors[first] += errors[second]
+        keep = np.ones(keys.size, dtype=bool)
+        keep[second] = False
+        keys, counts, errors = keys[keep], counts[keep], errors[keep]
+        # Canonical order (count descending, key ascending): the keys are
+        # sorted, so a stable sort on counts alone keeps equal counts in key
+        # order.  Top capacity, reversed into ascending insertion order.
+        kept = np.argsort(-counts, kind="stable")[: self._capacity][::-1]
+        # The merged absent-key floor, as in merge_space_saving.
+        floor_a = max(min_a, self._absent_floor)
+        floor_b = max(min_b, other._absent_floor)
+        floor = max(floor_a, floor_b) if disjoint else floor_a + floor_b
+        if keys.size > self._capacity:
+            floor = max(floor, int(counts[kept[0]]))  # smallest kept count bounds the dropped
+        n = kept.size
+        self._load(counts[kept], errors[kept], np.arange(1, n + 1),
+                   total=self._total + other.total, clock=n, absent_floor=floor)
+        self._set_batch_index(keys[kept], np.arange(n))
+        self._keys = self._slot = None
+
+    def _merge_keys(self, other) -> Optional[np.ndarray]:
+        """Both sides' packed slot keys, concatenated; ``None`` unless they share a dtype."""
+        if not isinstance(other, ArraySpaceSaving) or not (self._size or other._size):
+            return None
+        ours, theirs = self._slot_packed(), other._slot_packed()
+        if ours is None or theirs is None:
+            return None
+        # An empty side packs as int64; it adopts the other side's dtype.
+        if not self._size:
+            ours = ours.astype(theirs.dtype)
+        elif not other._size:
+            theirs = theirs.astype(ours.dtype)
+        elif ours.dtype != theirs.dtype:
+            return None
+        return np.concatenate((ours, theirs))
+
+    def merge_reference(self, other, *, disjoint: bool = False) -> None:
+        """Scalar twin of :meth:`merge`: the entry-list merge of :mod:`repro.hh.merge`.
+
+        Serves every merge the array path does not take; the result holds
+        the scalar index only.
         """
         kept, total, floor = merge_space_saving(self, other, disjoint=disjoint)
         n = len(kept)
-        self._counts = np.zeros(self._capacity, dtype=np.int64)
-        self._errors = np.zeros(self._capacity, dtype=np.int64)
-        self._stamps = np.zeros(self._capacity, dtype=np.int64)
-        self._keys = []
-        self._slot = {}
-        for slot, (key, count, error) in enumerate(kept):
-            self._counts[slot] = count
-            self._errors[slot] = error
-            self._stamps[slot] = slot + 1
-            self._keys.append(key)
-            self._slot[key] = slot
+        self._load([count for _, count, _ in kept], [error for _, _, error in kept],
+                   np.arange(1, n + 1), total=total, clock=n, absent_floor=floor)
+        self._keys = [key for key, _, _ in kept]
+        self._slot = {key: slot for slot, key in enumerate(self._keys)}
         self._drop_batch_index()
-        self._size = n
-        self._clock = n
-        self._heap = None
+
+    def _load(self, counts, errors, stamps, *, total: int, clock: int, absent_floor: int) -> None:
+        """Refill the table with these used slots (fresh arrays, no heap).
+
+        The key indexes are the caller's to install.
+        """
+        capacity = self._capacity
+        size = self._size = len(counts)
+        self._counts = np.zeros(capacity, dtype=np.int64)
+        self._errors = np.zeros(capacity, dtype=np.int64)
+        self._stamps = np.zeros(capacity, dtype=np.int64)
+        self._counts[:size] = counts
+        self._errors[:size] = errors
+        self._stamps[:size] = stamps
         self._total = total
-        self._absent_floor = floor
+        self._clock = clock
+        self._absent_floor = absent_floor
+        self._heap = None
+
+    def __deepcopy__(self, memo: dict) -> "ArraySpaceSaving":
+        """Copy the arrays and whichever key index is current, without a key-list round trip.
+
+        Keys are hashable, hence treated as immutable and shared with the
+        copy.  The lazy heap is dropped (the next scalar eviction rebuilds
+        it); ``_sorted`` is shared, because it is only ever replaced, never
+        written in place.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        for name in ("_counts", "_errors", "_stamps", "_packed", "_entered"):
+            array = getattr(self, name)
+            if array is not None:
+                setattr(clone, name, array.copy())
+        if self._keys is not None:
+            clone._keys = list(self._keys)
+            clone._slot = dict(self._slot)
+        clone._heap = None
+        return clone
 
     def __getstate__(self) -> dict:
         """Flat picklable form: the used slots only, no heap, no key dict.
@@ -672,18 +814,57 @@ class ArraySpaceSaving(CounterAlgorithm):
 
     def __setstate__(self, state: dict) -> None:
         """Restore into the scalar index; the batch index is rebuilt by the next batch."""
-        capacity = self._capacity = state["capacity"]
+        self._capacity = state["capacity"]
+        self._load(state["counts"], state["errors"], state["stamps"], total=state["total"],
+                   clock=state["clock"], absent_floor=state["absent_floor"])
         keys = self._keys = list(state["keys"])
-        size = self._size = len(keys)
-        self._total = state["total"]
-        self._clock = state["clock"]
-        self._absent_floor = state["absent_floor"]
-        self._counts = np.zeros(capacity, dtype=np.int64)
-        self._errors = np.zeros(capacity, dtype=np.int64)
-        self._stamps = np.zeros(capacity, dtype=np.int64)
-        self._counts[:size] = state["counts"]
-        self._errors[:size] = state["errors"]
-        self._stamps[:size] = state["stamps"]
         self._slot = {keys[slot]: slot for slot in state["order"].tolist()}
-        self._packed = self._entered = self._sorted = None
-        self._heap = None
+        self._packed = self._entered = self._sorted = self._heap = None
+
+
+# ---------------------------------------------------------------------- #
+# pipe form
+# ---------------------------------------------------------------------- #
+
+
+def _reduce_for_pipe(counter: ArraySpaceSaving):
+    """The pipe form: the used slots as flat arrays, keys packed.
+
+    Registered with :class:`multiprocessing.reduction.ForkingPickler`, the
+    pickler behind ``Connection.send``, so shard workers ship counter state
+    as a handful of arrays instead of one Python key object per slot.  A
+    table holding only the scalar index packs its keys locally and sends
+    each key's dict rank as its insertion time; the sender is not mutated.
+    Tables whose keys do not pack (and empty ones) ship the plain
+    ``__getstate__`` form.  Plain ``pickle``, ``copy`` and checkpoint bytes
+    never see this reducer.
+    """
+    size = counter._size
+    packed = counter._slot_packed() if size else None
+    if packed is None:
+        return counter.__reduce_ex__(2)
+    entered = counter._entered[:size] if counter._packed is not None else counter._dict_ranks()
+    return _from_pipe, (
+        counter._capacity,
+        counter._total,
+        counter._clock,
+        counter._absent_floor,
+        counter._counts[:size],
+        counter._errors[:size],
+        counter._stamps[:size],
+        packed,
+        entered,
+    )
+
+
+def _from_pipe(capacity, total, clock, absent_floor, counts, errors, stamps, packed, entered):
+    """Rebuild a pipe-form counter holding the batch index."""
+    counter = ArraySpaceSaving.__new__(ArraySpaceSaving)
+    counter._capacity = capacity
+    counter._load(counts, errors, stamps, total=total, clock=clock, absent_floor=absent_floor)
+    counter._set_batch_index(packed, entered)
+    counter._keys = counter._slot = None
+    return counter
+
+
+ForkingPickler.register(ArraySpaceSaving, _reduce_for_pipe)

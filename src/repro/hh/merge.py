@@ -5,7 +5,10 @@ worker processes, each owning independent counter summaries, and reduces the
 per-shard summaries with ``merge`` at output time.  The two Space Saving
 implementations (linked-bucket and struct-of-arrays) share the same summary
 semantics, so they share the merged-state computation in this module; the
-sketches and Misra-Gries implement their own merges in place.
+array summary's packed-key merge
+(:meth:`repro.hh.array_space_saving.ArraySpaceSaving.merge`) computes the
+same state with array operations and is pinned to it.  The sketches and
+Misra-Gries implement their own merges in place.
 
 Space Saving merge (the mergeable-summaries construction)
 ---------------------------------------------------------
