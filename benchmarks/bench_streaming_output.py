@@ -1,18 +1,22 @@
-"""Streaming-query benchmark: incremental output vs from-scratch, interleaved.
+"""Streaming-query benchmark: the array Output pass at monitor cadence, against its scalar reference.
 
-Measures what the incremental query engine buys at monitor rate: a seeded
-workload stream is fed in ``--update-chunk`` chunks and after every chunk
-the engine is queried twice - once through its warm incremental output
-cache (the default path) and once with the cache disabled (the from-scratch
-reference).  Every query pair is compared candidate for candidate first:
-an incremental answer that is not *bit-identical* to the scratch answer
-fails the run before any number is reported.
+A seeded workload stream is fed in ``--update-chunk`` chunks and the engine
+is queried after every chunk, as ``Session.watch`` does.  Both sides are
+timed: the chunk feed (``update_batch``) and the query (``output``, one
+array Output pass).  Query points are also answered through the scalar
+reference :func:`~repro.core.output.lattice_output_reference` and compared
+candidate for candidate: an answer that is not *bit-identical* fails the
+run.  ``--smoke`` checks every point; the full setting checks a fixed
+sample (the first point, every ``PARITY_STRIDE``-th and the last), because
+the unindexed reference is quadratic in the number of selections.
 
 Reported per engine:
 
-* incremental and from-scratch queries/sec over the interleaved run;
-* the speedup ratio (gated by ``--min-incremental-speedup`` when given);
-* per-query wall-clock (mean) for both paths.
+* ms per query and ms per chunk feed, and their ratio (gated by
+  ``--max-query-feed-ratio`` when given): what a query costs in units of
+  the stream work between two queries;
+* queries/sec of repeated queries over an unchanged engine (which must
+  also be pinned identical).
 
 Runs standalone (no pytest-benchmark dependency)::
 
@@ -23,11 +27,9 @@ The default settings mirror the Figure 5 measurement point (sanjose14
 workload, 2d-bytes hierarchy, 10-RHHH) run past its convergence bound
 (~1.1M packet warmup: pre-convergence the sampling correction exceeds the
 threshold, every tracked prefix is selected and the query cost says nothing
-about the steady state), then queried every ``--update-chunk`` packets -
-the monitor-rate cadence where only a handful of lattice nodes go dirty
-between queries.  ``--smoke`` shrinks the stream and drops to the 1-D
-hierarchy for CI.  Exit status is non-zero if any parity check fails or a
-given speedup gate is missed.
+about the steady state), then queried every ``--update-chunk`` packets.
+``--smoke`` shrinks the stream and drops to the 1-D hierarchy for CI.  Exit
+status is non-zero if any parity check fails or a given gate is missed.
 """
 
 from __future__ import annotations
@@ -38,12 +40,23 @@ import sys
 import time
 from typing import Dict, List
 
+import repro.core.rhhh
+import repro.hhh.mst
+import repro.hhh.sampled_mst
 from repro.api.registry import build_algorithm, make_hierarchy
 from repro.api.specs import AlgorithmSpec
+from repro.core.output import lattice_output_reference
 from repro.eval.reporting import format_table
 from repro.traffic.caida_like import named_workload
 
 ENGINES = ("rhhh", "mst", "sampled_mst")
+
+#: Outside ``--smoke``, every PARITY_STRIDE-th query point (plus the first
+#: and the last) is checked against the scalar reference.
+PARITY_STRIDE = 100
+
+#: The modules whose ``lattice_output`` the engines' queries call.
+_QUERY_MODULES = (repro.core.rhhh, repro.hhh.mst, repro.hhh.sampled_mst)
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
@@ -61,15 +74,14 @@ def _parse_args(argv=None) -> argparse.Namespace:
                         help="RHHH V = multiplier * H (10 reproduces 10-RHHH)")
     parser.add_argument("--update-chunk", type=int, default=16,
                         help="packets fed between query points (the monitor "
-                        "cadence; larger chunks dirty more lattice nodes "
-                        "per query and shrink the incremental advantage)")
+                        "cadence)")
     parser.add_argument("--warmup-packets", type=int, default=1_100_000,
                         help="stream prefix fed before the first query point "
                         "(pre-convergence queries select almost every "
                         "tracked prefix and would dominate the timing)")
-    parser.add_argument("--min-incremental-speedup", type=float, default=None,
-                        help="fail (exit 1) if incremental qps / scratch qps "
-                        "falls below this for any engine")
+    parser.add_argument("--max-query-feed-ratio", type=float, default=None,
+                        help="fail (exit 1) if the mean query time exceeds this "
+                        "many mean chunk-feed times for any engine")
     parser.add_argument("--json", default=None, help="write results to this JSON file")
     parser.add_argument("--smoke", action="store_true",
                         help="CI smoke preset: short stream, 1-D hierarchy, "
@@ -117,8 +129,20 @@ def _output_state(output):
     )
 
 
+def _reference_output(algorithm, theta: float):
+    """``algorithm.output(theta)`` answered through the scalar reference pass."""
+    saved = [module.lattice_output for module in _QUERY_MODULES]
+    for module in _QUERY_MODULES:
+        module.lattice_output = lattice_output_reference
+    try:
+        return algorithm.output(theta)
+    finally:
+        for module, original in zip(_QUERY_MODULES, saved):
+            module.lattice_output = original
+
+
 def run_engine(args, engine: str, keys) -> Dict[str, object]:
-    """Interleave update chunks with incremental + scratch query pairs."""
+    """Interleave timed chunk feeds with timed queries; check parity on the sampled points."""
     algorithm = _build(args, engine)
     chunk = args.update_chunk
     warmup = args.warmup_packets
@@ -127,30 +151,26 @@ def run_engine(args, engine: str, keys) -> Dict[str, object]:
     for lo in range(0, warmup, 65_536):
         algorithm.update_batch(keys[lo : min(lo + 65_536, warmup)])
 
+    starts = range(warmup, len(keys), chunk)
+    stride = 1 if args.smoke else PARITY_STRIDE
     points = 0
+    checked = 0
     mismatches = 0
-    incremental_seconds = 0.0
-    scratch_seconds = 0.0
-    for lo in range(warmup, len(keys), chunk):
-        algorithm.update_batch(keys[lo : lo + chunk])
+    feed_seconds = 0.0
+    query_seconds = 0.0
+    for point, lo in enumerate(starts):
         started = time.perf_counter()
-        incremental = algorithm.output(args.theta)
-        incremental_seconds += time.perf_counter() - started
-
-        cache = algorithm._output_cache
-        algorithm._output_cache = None
-        try:
-            started = time.perf_counter()
-            scratch = algorithm.output(args.theta)
-            scratch_seconds += time.perf_counter() - started
-        finally:
-            algorithm._output_cache = cache
+        algorithm.update_batch(keys[lo : lo + chunk])
+        feed_seconds += time.perf_counter() - started
+        started = time.perf_counter()
+        output = algorithm.output(args.theta)
+        query_seconds += time.perf_counter() - started
         points += 1
-        if _output_state(incremental) != _output_state(scratch):
-            mismatches += 1
-    # Repeated queries with no updates in between: the monitor-rate case the
-    # cache is built for (and the idempotence half of the parity contract).
-    repeat_seconds = 0.0
+        if point % stride == 0 or point == len(starts) - 1:
+            checked += 1
+            if _output_state(output) != _output_state(_reference_output(algorithm, args.theta)):
+                mismatches += 1
+    # Repeated queries with no updates in between must be pinned identical.
     repeats = max(points, 1)
     baseline = _output_state(algorithm.output(args.theta))
     started = time.perf_counter()
@@ -160,17 +180,15 @@ def run_engine(args, engine: str, keys) -> Dict[str, object]:
     if _output_state(repeated) != baseline:
         mismatches += 1
 
-    incremental_qps = points / incremental_seconds if incremental_seconds else 0.0
-    scratch_qps = points / scratch_seconds if scratch_seconds else 0.0
+    per_point = max(points, 1)
     return {
         "engine": engine,
         "query_points": points,
+        "parity_points": checked,
         "parity_mismatches": mismatches,
-        "incremental_qps": incremental_qps,
-        "scratch_qps": scratch_qps,
-        "speedup": incremental_qps / scratch_qps if scratch_qps else float("inf"),
-        "incremental_ms_per_query": 1e3 * incremental_seconds / max(points, 1),
-        "scratch_ms_per_query": 1e3 * scratch_seconds / max(points, 1),
+        "query_ms": 1e3 * query_seconds / per_point,
+        "feed_ms": 1e3 * feed_seconds / per_point,
+        "query_feed_ratio": query_seconds / feed_seconds if feed_seconds else float("inf"),
         "repeat_qps": repeats / repeat_seconds if repeat_seconds else float("inf"),
         "candidates": len(repeated.candidates),
     }
@@ -187,11 +205,12 @@ def main(argv=None) -> int:
         {
             "engine": result["engine"],
             "points": result["query_points"],
-            "inc q/s": f"{result['incremental_qps']:,.1f}",
-            "scratch q/s": f"{result['scratch_qps']:,.1f}",
-            "speedup": f"{result['speedup']:.1f}x",
+            "query ms": f"{result['query_ms']:.3f}",
+            "feed ms": f"{result['feed_ms']:.3f}",
+            "query/feed": f"{result['query_feed_ratio']:.1f}",
             "repeat q/s": f"{result['repeat_qps']:,.1f}",
             "HHHs": result["candidates"],
+            "checked": result["parity_points"],
             "mismatch": result["parity_mismatches"],
         }
         for result in results
@@ -209,16 +228,16 @@ def main(argv=None) -> int:
     for result in results:
         if result["parity_mismatches"]:
             failures.append(
-                f"{result['engine']}: {result['parity_mismatches']} incremental/scratch "
+                f"{result['engine']}: {result['parity_mismatches']} array/reference "
                 "parity mismatches"
             )
         if (
-            args.min_incremental_speedup is not None
-            and result["speedup"] < args.min_incremental_speedup
+            args.max_query_feed_ratio is not None
+            and result["query_feed_ratio"] > args.max_query_feed_ratio
         ):
             failures.append(
-                f"{result['engine']}: speedup {result['speedup']:.2f}x < "
-                f"gate {args.min_incremental_speedup}x"
+                f"{result['engine']}: query/feed ratio {result['query_feed_ratio']:.1f} > "
+                f"gate {args.max_query_feed_ratio}"
             )
 
     if args.json:

@@ -615,16 +615,18 @@ class Session:
     def watch(self, theta: Optional[float] = None, *, every: int = 1) -> Iterator[HHHOutput]:
         """Feed the spec's stream, yielding an ``output(theta)`` every ``every`` chunks.
 
-        The incremental streaming query loop: the stream advances one chunk
+        The streaming query loop: the stream advances one chunk
         (``batch_size`` packets on the batch path, ``progress_chunk`` on the
         per-packet path, one re-chunked batch on the streamed-trace path) at
         a time, and every ``every``-th chunk the algorithm is queried and the
         report yielded.  A final report is always yielded at end of stream
         when the last chunk did not land on the cadence (an empty stream
         yields exactly one report), so the last yielded output equals what
-        :meth:`run` would have returned.  Queries between chunks are served
-        by the engines' incremental output caches, which is what makes a
-        per-chunk (``every=1``) monitor affordable.
+        :meth:`run` would have returned.  Each query is one array Output
+        pass (:func:`~repro.core.output.lattice_output`), whose per-entry
+        Python work is limited to the prefixes it selects and their
+        ancestors, which is what makes a per-chunk (``every=1``) monitor
+        affordable.
 
         Args:
             theta: query threshold; defaults to the spec's theta.

@@ -148,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stream the run and print an intermediate HHH report line every "
         "N fed chunks (batch_size packets each; progress_chunk on the "
-        "per-packet path) before the final table - served at monitor rate "
-        "by the incremental query engine",
+        "per-packet path) before the final table - each report is one "
+        "array Output pass",
     )
 
     compare = subparsers.add_parser("compare", help="compare several algorithms on the same stream")

@@ -49,9 +49,9 @@ _HEADER = struct.Struct("<4sIQ32s")
 #: RNG streams.  Only the attributes an instance actually has are captured,
 #: so the one whitelist covers RHHH (all but ``_sampled``), MST (totals and
 #: counters only) and SampledMST (all but the RHHH bookkeeping).
-#: ``_versions`` is the per-node update clock of the incremental query
-#: engine; capturing it keeps a restored instance's version stamps in step
-#: with its restored counters.
+#: ``_versions`` is the per-node update clock that in-process replicas hand
+#: the merger as merge signatures; capturing it keeps a restored instance's
+#: version stamps in step with its restored counters.
 #: Algorithms with runtime state beyond this list declare it in a class-level
 #: ``CHECKPOINT_EXTRA_ATTRS`` tuple (see :func:`_state_attr_names`); the
 #: ``checkpoint-drift`` reprolint rule fails the build when a mutated
@@ -125,12 +125,6 @@ def apply_runtime_state(algorithm: Any, state: Dict[str, Any]) -> None:
             rng.bit_generator.state = value
         else:
             raise CheckpointError(f"checkpoint RNG stream {name!r} has no counterpart on {expected}")
-    # Counter state was replaced wholesale: any warm output cache describes a
-    # different timeline (restored version stamps could coincidentally match
-    # its snapshots), so the next query must recompute from scratch.
-    cache = getattr(algorithm, "_output_cache", None)
-    if cache is not None:
-        cache.invalidate()
 
 
 def snapshot_algorithm(algorithm: Any, *, copy_state: bool = True) -> Dict[str, Any]:

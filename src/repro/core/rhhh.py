@@ -20,7 +20,8 @@ cost of ``r`` counter updates per packet.
 Next to RHHH lives :class:`LatticeHHH`, the base RHHH shares with the
 lattice baselines (:class:`~repro.hhh.mst.MST`,
 :class:`~repro.hhh.sampled_mst.SampledMST`): per-node counters, generalizers,
-version counters, the Output cache and the one batch core.  A lattice
+version counters and the one batch core.  Every query ends in the array
+Output pass, :func:`~repro.core.output.lattice_output`.  A lattice
 algorithm's batch update differs from another's only in which (packet, node)
 pairs get a counter update, so each subclass states just that choice, as
 :meth:`LatticeHHH._plan`; masking, duplicate aggregation, the ascending-key
@@ -50,7 +51,6 @@ from repro.core.batch import (
 from repro.core.config import RHHHConfig
 from repro.core.output import (
     CounterLike,
-    OutputCache,
     lattice_output,
     prepare_counter_factory,
     validate_theta,
@@ -69,8 +69,8 @@ class LatticeHHH(HHHAlgorithm):
 
     Owns the state RHHH, MST and SampledMST share: the per-node counters
     (built from one resolved counter factory), the scalar and batch
-    generalizers, the per-node version counters that mark nodes dirty for
-    the incremental Output pass, and that pass's :class:`OutputCache`.
+    generalizers, and the per-node version counters that stamp every
+    counter update.
 
     Subclasses implement :meth:`query`, their Output over explicit state
     (:meth:`output` runs it over the algorithm's own), and :meth:`_plan`,
@@ -90,10 +90,10 @@ class LatticeHHH(HHHAlgorithm):
         self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
         self._generalizers = hierarchy.compile_generalizers()
         self._batch_generalizers = hierarchy.compile_batch_generalizers()
-        #: Per-lattice-node update counters driving the incremental query
-        #: engine: any bump marks the node dirty for the next output pass.
+        #: Per-lattice-node update counters: every counter update bumps its
+        #: node.  In-process replicas hand them to the merger as merge
+        #: signatures (an unchanged stamp means an unchanged node).
         self._versions: List[int] = [0] * hierarchy.size
-        self._output_cache: Optional[OutputCache] = OutputCache()
 
     def _bump_versions(self) -> None:
         """Mark every node dirty (an update that touched the whole lattice)."""
@@ -181,8 +181,6 @@ class LatticeHHH(HHHAlgorithm):
         theta: float,
         counters: Sequence[CounterAlgorithm],
         total: int,
-        versions: Optional[Sequence[int]],
-        cache: Optional[OutputCache],
         lost: float = 0.0,
     ) -> HHHOutput:
         """This algorithm's Output over the given lattice state.
@@ -191,9 +189,6 @@ class LatticeHHH(HHHAlgorithm):
             theta: threshold fraction.
             counters: one counter summary per lattice node.
             total: stream length ``N``, including ``lost``.
-            versions: per-node version counters of ``counters``.
-            cache: the :class:`OutputCache` paired with ``versions``
-                (``None`` runs the from-scratch pass).
             lost: stream weight no counter accounts for (a lost shard or
                 switch); every conditioned estimate gains it, so any prefix
                 the missing weight could have pushed over ``theta * N``
@@ -201,7 +196,7 @@ class LatticeHHH(HHHAlgorithm):
         """
 
     def output(self, theta: float) -> HHHOutput:
-        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
+        return self.query(theta, self._counters, self._total)
 
     def counters(self) -> int:
         return sum(c.counters() for c in self._counters)
@@ -323,15 +318,13 @@ class RHHH(LatticeHHH):
     # Defined here, not inherited: perfbench's tracer hooks ``RHHH.output`` by name.
     def output(self, theta: float) -> HHHOutput:
         """Return the approximate HHH set for threshold fraction ``theta`` (Algorithm 1, Output)."""
-        return self.query(theta, self._counters, self._total, self._versions, self._output_cache)
+        return self.query(theta, self._counters, self._total)
 
     def query(
         self,
         theta: float,
         counters: Sequence[CounterAlgorithm],
         total: int,
-        versions: Optional[Sequence[int]],
-        cache: Optional[OutputCache],
         lost: float = 0.0,
     ) -> HHHOutput:
         """Algorithm 1's Output: counters scaled by ``V``, plus ``2 Z sqrt(N V)``."""
@@ -348,8 +341,6 @@ class RHHH(LatticeHHH):
             total,
             scale=self._v / self._r,
             correction=correction,
-            versions=versions,
-            cache=cache,
         )
 
     def frequency_estimate(self, key: Hashable, node: int = 0) -> float:

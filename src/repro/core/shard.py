@@ -43,7 +43,6 @@ from repro.api.specs import AlgorithmSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
 from repro.core.batch import check_weight, coerce_key_array, coerce_weights
 from repro.core.checkpoint import apply_runtime_state, capture_runtime_state
-from repro.core.output import OutputCache
 from repro.core.rhhh import LatticeHHH
 from repro.core.supervise import ShardLoss, ShardSupervisor, SupervisorPolicy
 from repro.exceptions import AlgorithmError, CheckpointError, ConfigurationError
@@ -189,7 +188,7 @@ class LatticeMerger:
     :meth:`~repro.core.rhhh.LatticeHHH.query`, which supplies the
     algorithm-specific scaling and sampling correction (``V`` and the
     ``2 Z sqrt(NV)`` term for RHHH) against the combined stream length.
-    The template's own counters, total, versions and cache are never touched.
+    The template's own counters, total and versions are never touched.
 
     Replica states are reduced in replica order: at each lattice node the
     first replica's counter is the merge target and every later one is
@@ -207,13 +206,13 @@ class LatticeMerger:
     operations (:meth:`~repro.hh.array_space_saving.ArraySpaceSaving.merge`,
     pinned to its scalar twin ``merge_reference``).
 
-    Queries are incremental: each node's merged counter is cached under a
-    driver-supplied signature (an equal signature promises an unchanged
-    merge at that node), a rebuilt node bumps the merger's per-node version
-    handed to the incremental Output pass, and that pass keeps its own
-    :attr:`cache`.  Setting :attr:`cache` to ``None`` forces the
-    from-scratch reference (full re-merge, uncached Output) that the
-    streaming-parity suite compares against.
+    Merges are reused across queries: each node's merged counter is cached
+    under a driver-supplied signature (an equal signature promises an
+    unchanged merge at that node), and only nodes whose signature moved
+    are re-merged (:meth:`reduce`).  Setting :attr:`incremental` to
+    ``False`` re-merges every node on every query instead
+    (:meth:`merged_counters`), the reference the parity suites compare
+    against.  Either way the query itself is one array Output pass.
 
     Args:
         algorithm: the deployment's algorithm spec.
@@ -243,15 +242,14 @@ class LatticeMerger:
         self._disjoint = [hierarchy.node_level(node) == 0 for node in range(hierarchy.size)]
         self._nodes: List[Optional[Tuple[Hashable, object]]] = [None] * hierarchy.size
         self._total: Optional[Tuple[tuple, int]] = None
-        self._versions: List[int] = [0] * hierarchy.size
-        self.cache: Optional[OutputCache] = OutputCache()
+        #: Reuse unchanged nodes' merges between queries (:meth:`reduce`);
+        #: ``False`` re-merges everything (:meth:`merged_counters`).
+        self.incremental = True
 
     def reset(self) -> None:
-        """Forget every cached merge and Output pass (replica state was replaced)."""
+        """Forget every cached merge (replica state was replaced)."""
         self._nodes = [None] * len(self._nodes)
         self._total = None
-        if self.cache is not None:
-            self.cache.invalidate()
 
     def _merge_node(self, states: Sequence[ReplicaState], node: int, live: bool):
         counter = states[0][1][node]
@@ -304,7 +302,6 @@ class LatticeMerger:
         fetched = states(False)
         for node in stale:
             self._nodes[node] = (signatures[node], self._merge_node(fetched, node, live))
-            self._versions[node] += 1
         total = sum(replica_total for replica_total, _ in fetched)
         self._total = (key, total)
         return [entry[1] for entry in self._nodes], total
@@ -328,14 +325,12 @@ class LatticeMerger:
         reached the threshold is dropped), every candidate's upper bound is
         stretched by it, and the reports ride along on ``failed_shards``.
         """
-        if self.cache is not None:
+        if self.incremental:
             merged, merged_total = self.reduce(signatures, states, live=live)
         else:
             merged, merged_total = self.merged_counters(states, live=live)
         lost, losses = loss()
-        result = self.template.query(
-            theta, merged, merged_total + lost, self._versions, self.cache, lost
-        )
+        result = self.template.query(theta, merged, merged_total + lost, lost)
         if lost:
             result.candidates = [
                 dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
@@ -758,8 +753,8 @@ class ShardedHHH(HHHAlgorithm):
         """Merge the replicas and run the underlying algorithm's Output on the result.
 
         Lost weight widens the bounds as :meth:`LatticeMerger.output`
-        describes.  Queries run incrementally; ``_merger.cache = None``
-        forces the from-scratch reference path.
+        describes.  Unchanged nodes' merges are reused;
+        ``_merger.incremental = False`` re-merges every node instead.
         """
         self._replicas.flush()
         return self._merger.output(

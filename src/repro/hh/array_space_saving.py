@@ -14,7 +14,7 @@ Which key sits in which slot is held by one of two indexes, and exactly one
 of them is authoritative at a time:
 
 * the **scalar index** - a ``key -> slot`` dict plus the per-slot key list -
-  serves scalar ``update`` calls and every query;
+  serves scalar ``update`` calls and point queries;
 * the **batch index** - the keys packed into one integer array (int64 for
   1-D keys in ``[0, 2**63)``, uint64 ``src << 32 | dst`` for pairs of 32-bit
   values) plus an ``entered`` array holding each slot's insertion time,
@@ -23,8 +23,10 @@ of them is authoritative at a time:
 A batch that inserts any key drops the scalar index; a scalar insert or
 eviction drops the batch index.  Hits change no key, so they keep both.
 Each index is rebuilt from the other in one vectorized step, and only when
-its side next needs it: a query after a batch unpacks the keys and orders
-them by ``entered``; a batch after scalar writes packs the key list.
+its side next needs it: a point query after a batch unpacks the keys and
+orders them by ``entered``; a batch after scalar writes packs the key list.
+The Output pass reads whichever index is current in place
+(:meth:`ArraySpaceSaving.tracked_entries`) and rebuilds neither.
 
 On the batch index a batch of ``b`` distinct keys costs no per-key Python
 work outside the heap replay below:
@@ -108,7 +110,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hh.base import CounterAlgorithm
+from repro.hh.base import CounterAlgorithm, TrackedEntries
 from repro.hh.merge import check_same_capacity, merge_space_saving
 from repro.hh.sketch_batch import key_objects
 from repro.hh.space_saving import hits_first
@@ -588,10 +590,13 @@ class ArraySpaceSaving(CounterAlgorithm):
     def upper_bound(self, key: Hashable) -> float:
         slot = (self._slot or self._scalar_index()).get(key)
         if slot is None:
-            # An unmonitored key has true count at most the minimum counter
-            # (plus the absent-key floor a merge may have introduced).
-            return float(max(self._min_count(), self._absent_floor))
+            return self._absent_upper()
         return float(self._counts[slot])
+
+    def _absent_upper(self) -> float:
+        # An unmonitored key has true count at most the minimum counter
+        # (plus the absent-key floor a merge may have introduced).
+        return float(max(self._min_count(), self._absent_floor))
 
     def lower_bound(self, key: Hashable) -> float:
         slot = (self._slot or self._scalar_index()).get(key)
@@ -601,6 +606,18 @@ class ArraySpaceSaving(CounterAlgorithm):
 
     def counters(self) -> int:
         return self._capacity
+
+    def tracked_entries(self) -> TrackedEntries:
+        """The used slots' bounds as arrays, in iteration order, read from whichever index is current."""
+        size = self._size
+        if self._slot is not None:
+            order = np.fromiter(self._slot.values(), dtype=np.int64, count=size)
+        else:
+            order = np.argsort(self._entered[:size])
+        counts = self._counts[order]
+        upper = counts.astype(np.float64)
+        lower = (counts - self._errors[order]).astype(np.float64)
+        return _SlotEntries(self, order, upper, lower)
 
     def _min_count(self) -> int:
         if self._size < self._capacity or self._size == 0:
@@ -820,6 +837,52 @@ class ArraySpaceSaving(CounterAlgorithm):
         keys = self._keys = list(state["keys"])
         self._slot = {keys[slot]: slot for slot in state["order"].tolist()}
         self._packed = self._entered = self._sorted = self._heap = None
+
+
+class _SlotEntries(TrackedEntries):
+    """:class:`~repro.hh.base.TrackedEntries` resolved through the slot arrays.
+
+    ``order`` lists the used slots in iteration order.  Keys are looked up
+    through whichever key index the counter holds (the dict, or the packed
+    keys by ``searchsorted``) and materialized for the asked positions only,
+    so reading a node costs no per-entry Python work.
+    """
+
+    def __init__(self, counter: ArraySpaceSaving, order: np.ndarray, upper, lower) -> None:
+        super().__init__(counter, (), upper, lower)
+        self._order = order
+        self._rank: Optional[np.ndarray] = None
+
+    def keys_at(self, positions: np.ndarray) -> list:
+        counter = self._counter
+        slots = self._order[positions]
+        if counter._keys is not None:
+            keys = counter._keys
+            return [keys[slot] for slot in slots.tolist()]
+        return unpack_keys(counter._packed[slots])
+
+    def positions(self, keys) -> np.ndarray:
+        if not len(keys):
+            return np.empty(0, dtype=np.int64)
+        counter = self._counter
+        packed = pack_keys(keys) if counter._slot is None else None
+        if packed is not None:
+            if packed.dtype != counter._packed.dtype:
+                return np.full(len(keys), -1, dtype=np.int64)  # another key kind
+            slots = counter._lookup(packed)
+        else:
+            slot_of = counter._slot or counter._scalar_index()
+            slots = np.fromiter((slot_of.get(key, -1) for key in keys), dtype=np.int64, count=len(keys))
+        if self._rank is None:
+            self._rank = np.empty(len(self._order), dtype=np.int64)
+            self._rank[self._order] = np.arange(len(self._order))
+        found = slots >= 0
+        positions = np.full(len(keys), -1, dtype=np.int64)
+        positions[found] = self._rank[slots[found]]
+        return positions
+
+    def _untracked_bounds(self, key: Hashable) -> Tuple[float, float]:
+        return self._counter._absent_upper(), 0.0
 
 
 # ---------------------------------------------------------------------- #

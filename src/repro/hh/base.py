@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 
@@ -136,6 +138,54 @@ class FrequencyEstimator(abc.ABC):
         raise unmergeable_error(self)
 
 
+class TrackedEntries:
+    """A summary's tracked keys and their frequency bounds, in iteration order.
+
+    What the Output pass reads from a counter: ``upper`` and ``lower`` are
+    float64 arrays holding ``upper_bound``/``lower_bound`` of each tracked
+    key, position ``i`` being the ``i``-th key ``iter(counter)`` yields.
+    Keys are looked up and materialized only where the pass asks for them.
+    This default holds the key list itself; a backend with array state may
+    return a subclass that resolves keys from its own arrays instead.
+    """
+
+    def __init__(
+        self, counter: "CounterAlgorithm", keys: Sequence[Hashable], upper: np.ndarray, lower: np.ndarray
+    ) -> None:
+        self.upper = upper
+        self.lower = lower
+        self._counter = counter
+        self._keys = keys
+        self._position: Optional[Dict[Hashable, int]] = None
+
+    def __len__(self) -> int:
+        return len(self.upper)
+
+    def keys_at(self, positions: np.ndarray) -> list:
+        """The keys at ``positions``, in that order."""
+        keys = self._keys
+        return [keys[position] for position in positions.tolist()]
+
+    def positions(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """The position of each of ``keys`` (``-1`` for a key the summary does not track)."""
+        position_of = self._position
+        if position_of is None:
+            position_of = self._position = {key: i for i, key in enumerate(self._keys)}
+        return np.fromiter((position_of.get(key, -1) for key in keys), dtype=np.int64, count=len(keys))
+
+    def bounds(self, keys: Sequence[Hashable]) -> List[Tuple[float, float]]:
+        """``(upper_bound, lower_bound)`` of each of ``keys``, tracked or not."""
+        return [
+            (float(self.upper[position]), float(self.lower[position]))
+            if position >= 0
+            else self._untracked_bounds(key)
+            for position, key in zip(self.positions(keys).tolist(), keys)
+        ]
+
+    def _untracked_bounds(self, key: Hashable) -> Tuple[float, float]:
+        return self._counter.upper_bound(key), self._counter.lower_bound(key)
+
+
 class CounterAlgorithm(FrequencyEstimator):
     """A frequency estimator that can also enumerate heavy hitters.
 
@@ -146,6 +196,16 @@ class CounterAlgorithm(FrequencyEstimator):
     @abc.abstractmethod
     def counters(self) -> int:
         """Number of counters (table entries) used by the summary."""
+
+    def tracked_entries(self) -> TrackedEntries:
+        """The tracked keys with their bounds, in iteration order (the Output pass's read)."""
+        keys = list(self)
+        return TrackedEntries(
+            self,
+            keys,
+            np.array([self.upper_bound(key) for key in keys], dtype=np.float64),
+            np.array([self.lower_bound(key) for key in keys], dtype=np.float64),
+        )
 
     def heavy_hitters(self, threshold: float) -> List[HeavyHitter]:
         """Return every tracked key whose upper-bound count reaches ``threshold``.

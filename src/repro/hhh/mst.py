@@ -9,11 +9,11 @@ correction.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.core.base import HHHOutput
 from repro.core.batch import check_weight
-from repro.core.output import CounterLike, OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, lattice_output, validate_theta
 from repro.core.rhhh import LatticeHHH, PlanGroup
 from repro.exceptions import ConfigurationError
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
@@ -37,7 +37,7 @@ class MST(LatticeHHH):
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
         # MST touches every node on every packet, so the per-node versions
-        # move in lockstep - kept per node for the uniform Output contract.
+        # move in lockstep - kept per node like every lattice algorithm's.
         super().__init__(hierarchy, counter, epsilon)
         self._epsilon = epsilon
 
@@ -64,15 +64,11 @@ class MST(LatticeHHH):
         theta: float,
         counters: Sequence[CounterAlgorithm],
         total: int,
-        versions: Optional[Sequence[int]],
-        cache: Optional[OutputCache],
         lost: float = 0.0,
     ) -> HHHOutput:
         """The lattice Output unscaled, with no sampling correction."""
         theta = validate_theta(theta)
-        return lattice_output(
-            self._hierarchy, counters, theta, total, correction=lost, versions=versions, cache=cache
-        )
+        return lattice_output(self._hierarchy, counters, theta, total, correction=lost)
 
     def frequency_estimate(self, key: Hashable, node: int = 0) -> float:
         """Estimate the frequency of ``key`` masked to lattice node ``node``."""

@@ -20,7 +20,7 @@ from repro.analysis.bounds import coverage_correction
 from repro.core.base import HHHOutput
 from repro.core.batch import check_weight
 from repro.core.determinism import resolve_seed
-from repro.core.output import CounterLike, OutputCache, lattice_output, validate_theta
+from repro.core.output import CounterLike, lattice_output, validate_theta
 from repro.core.rhhh import LatticeHHH, PlanGroup
 from repro.exceptions import ConfigurationError
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
@@ -107,8 +107,6 @@ class SampledMST(LatticeHHH):
         theta: float,
         counters: Sequence[CounterAlgorithm],
         total: int,
-        versions: Optional[Sequence[int]],
-        cache: Optional[OutputCache],
         lost: float = 0.0,
     ) -> HHHOutput:
         """The lattice Output scaled by ``1/p``, plus the sampling correction."""
@@ -122,6 +120,4 @@ class SampledMST(LatticeHHH):
             total,
             scale=scale,
             correction=correction,
-            versions=versions,
-            cache=cache,
         )

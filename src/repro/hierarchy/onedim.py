@@ -12,6 +12,7 @@ node 0 is the fully specified address and node ``L`` is ``*``.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -101,15 +102,21 @@ class OneDimHierarchy(Hierarchy):
 
     def generalize(self, key: Hashable, node: int) -> int:
         self._check_node(node)
-        if not isinstance(key, int):
+        if isinstance(key, np.integer):
+            key = int(key)
+        elif not isinstance(key, int):
             raise HierarchyError(f"{self.name} expects integer keys, got {type(key).__name__}")
         if not 0 <= key <= self._max_key:
             raise HierarchyError(f"key {key} does not fit in {self._total_bits} bits")
         return key & self._masks[node]
 
     def compile_generalizers(self):
-        """Validation-free per-node masking closures for the packet fast path."""
-        return [lambda key, mask=mask: key & mask for mask in self._masks]
+        """Validation-free per-node masking closures for the packet fast path.
+
+        ``index`` turns a numpy integer key into a Python int (and passes an
+        int through), so counters store plain ints whatever the caller fed.
+        """
+        return [lambda key, mask=mask: index(key) & mask for mask in self._masks]
 
     def compile_batch_generalizers(self):
         """Vectorized per-node masking over whole key arrays.

@@ -14,6 +14,7 @@ procedure needs: two parents per node, the greatest lower bound ``glb``
 
 from __future__ import annotations
 
+from operator import index
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,7 +117,11 @@ class TwoDimHierarchy(Hierarchy):
         return (self._src.generalize(key[0], i), self._dst.generalize(key[1], j))
 
     def compile_generalizers(self):
-        """Validation-free per-node masking closures for the packet fast path."""
+        """Validation-free per-node masking closures for the packet fast path.
+
+        Like the 1-D closures, each member goes through ``index``, so numpy
+        integer members are stored as Python ints.
+        """
         src_masks = self._src.masks()
         dst_masks = self._dst.masks()
         generalizers = []
@@ -125,7 +130,7 @@ class TwoDimHierarchy(Hierarchy):
             src_mask = src_masks[i]
             dst_mask = dst_masks[j]
             generalizers.append(
-                lambda key, sm=src_mask, dm=dst_mask: (key[0] & sm, key[1] & dm)
+                lambda key, sm=src_mask, dm=dst_mask: (index(key[0]) & sm, index(key[1]) & dm)
             )
         return generalizers
 

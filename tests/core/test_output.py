@@ -11,6 +11,7 @@ from repro.core.output import (
     calc_pred,
     conditioned_frequency_estimate,
     lattice_output,
+    lattice_output_reference,
 )
 from repro.hh.exact_counter import ExactCounter
 from repro.hierarchy.ip import ipv4_to_int
@@ -251,7 +252,7 @@ class TestSelectedIndex:
 
 
 class TestLatticeOutputIndexParity:
-    """lattice_output(use_index=True) is bit-identical to the unindexed reference."""
+    """The array pass ``lattice_output`` is bit-identical to the scalar unindexed reference."""
 
     def _signature(self, output):
         return [
@@ -268,8 +269,8 @@ class TestLatticeOutputIndexParity:
             for _ in range(4_000)
         ]
         counters = _exact_lattice_counters(hierarchy, keys)
-        indexed = lattice_output(hierarchy, counters, theta, len(keys), use_index=True)
-        reference = lattice_output(hierarchy, counters, theta, len(keys), use_index=False)
+        indexed = lattice_output(hierarchy, counters, theta, len(keys))
+        reference = lattice_output_reference(hierarchy, counters, theta, len(keys))
         assert self._signature(indexed) == self._signature(reference)
         assert len(indexed) > 0  # the parity must be exercised on a non-trivial set
 
@@ -285,7 +286,7 @@ class TestLatticeOutputIndexParity:
             for _ in range(1_500)
         ]
         counters = _exact_lattice_counters(hierarchy, keys)
-        indexed = lattice_output(hierarchy, counters, theta, len(keys), use_index=True)
-        reference = lattice_output(hierarchy, counters, theta, len(keys), use_index=False)
+        indexed = lattice_output(hierarchy, counters, theta, len(keys))
+        reference = lattice_output_reference(hierarchy, counters, theta, len(keys))
         assert self._signature(indexed) == self._signature(reference)
         assert len(indexed) > 0

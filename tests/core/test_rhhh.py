@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import RHHHConfig
 from repro.core.rhhh import RHHH
 from repro.exceptions import ConfigurationError
+from repro.hh.array_space_saving import ArraySpaceSaving
 from repro.hierarchy.ip import ipv4_to_int
 from repro.hierarchy.onedim import ipv4_byte_hierarchy
 from repro.hierarchy.twodim import ipv4_two_dim_byte_hierarchy
@@ -160,3 +162,41 @@ class TestOutput:
         output = algorithm.output(theta=0.2)
         # Flat traffic: nothing specific is heavy, so the root must be the cover.
         assert any(c.prefix.node == byte_hierarchy.fully_general_node() for c in output)
+
+
+class TestNumpyScalarKeys:
+    """numpy integer keys fed one at a time are stored, and queried, as Python ints."""
+
+    @pytest.mark.parametrize("dimensions", [1, 2])
+    def test_numpy_keys_are_stored_as_ints(self, dimensions, monkeypatch):
+        keys = [ipv4_to_int(f"10.{i % 7}.{i % 5}.{i % 50}") for i in range(2_000)]
+        if dimensions == 1:
+            hierarchy = ipv4_byte_hierarchy()
+
+            def as_numpy(key):
+                return np.int64(key)
+
+        else:
+            hierarchy = ipv4_two_dim_byte_hierarchy()
+            keys = [(key, ipv4_to_int("192.0.2.1") + i % 3) for i, key in enumerate(keys)]
+
+            def as_numpy(key):
+                return (np.int64(key[0]), np.uint32(key[1]))
+
+        algorithm = RHHH(hierarchy, epsilon=0.05, delta=0.1, seed=3)
+        for key in keys:
+            algorithm.update(as_numpy(key))
+        stored = [key for node in range(hierarchy.size) for key in algorithm.node_counter(node)]
+        members = stored if dimensions == 1 else [member for key in stored for member in key]
+        assert {type(member) for member in members} == {int}
+        for node in range(hierarchy.size):
+            assert algorithm.frequency_estimate(as_numpy(keys[0]), node) == algorithm.frequency_estimate(
+                keys[0], node
+            )
+
+        def refuse(self, items):
+            raise AssertionError("the batch fell back to the scalar twin")
+
+        # Stored keys pack, so the next batch keeps the packed array path.
+        monkeypatch.setattr(ArraySpaceSaving, "update_batch_reference", refuse)
+        algorithm.update_batch(np.array(keys[:500]))

@@ -4,7 +4,7 @@ Worker replicas ship their Space Saving state over the pipe in packed-array
 form and the merger folds it with the array merge; in-process replicas are
 deep-copied and merged in this process.  Fed the same 2-D DDoS stream with a
 query after every chunk, the worker pool, the in-process engine and the
-from-scratch reference (``_merger.cache = None``) must answer identically.
+full re-merge reference (``_merger.incremental = False``) must answer identically.
 Under the degrade policy a killed shard is represented by its last
 checkpoint, whose counters merge with the live shard's; that path must
 agree with its own from-scratch reference and with the scalar merge twin.
@@ -83,7 +83,7 @@ def _answers_and_merges(engine, keys):
 def test_pool_matches_in_process_and_the_scratch_reference(ddos_keys):
     serial = ShardedHHH(SPEC, "2d-bytes", 2, parallel=False)
     scratch = ShardedHHH(SPEC, "2d-bytes", 2, parallel=False)
-    scratch._merger.cache = None
+    scratch._merger.incremental = False
     with ShardedHHH(SPEC, "2d-bytes", 2, parallel=True) as pool:
         pooled, pool_merges = _answers_and_merges(pool, ddos_keys)
     serial_answers, serial_merges = _answers_and_merges(serial, ddos_keys)
@@ -100,7 +100,7 @@ def _degraded(*, cache):
     policy = SupervisorPolicy(policy="degrade", timeout=10.0, checkpoint_every=1)
     engine = ShardedHHH(SPEC, "2d-bytes", 2, parallel=True, supervisor=policy, fault_plan=plan)
     if not cache:
-        engine._merger.cache = None
+        engine._merger.incremental = False
     return engine
 
 

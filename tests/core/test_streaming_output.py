@@ -1,13 +1,15 @@
-"""The incremental streaming query engine: parity, idempotence, watch cadence.
+"""Streaming queries: parity, idempotence, watch cadence.
 
-The incremental output pass (``repro.core.output``) must be *bit-identical*
-to the from-scratch pass on every engine - same candidates, same float
-bounds, same conditioned estimates - over interleaved update/query streams.
-Every engine exposes a scratch toggle for exactly this comparison:
+Every engine's answer must be *bit-identical* to its reference twin - same
+candidates, same float bounds, same conditioned estimates - over
+interleaved update/query streams:
 
-* core lattice algorithms: ``algorithm._output_cache = None``;
-* the replica driver (the sharded engine and the distributed cluster):
-  ``engine._merger.cache = None``.
+* core lattice algorithms: the array Output pass against the scalar
+  reference :func:`~repro.core.output.lattice_output_reference`, swapped in
+  for the module-level ``lattice_output`` the engines call;
+* the replica driver (the sharded engine and the distributed cluster): the
+  reused per-node merges against a full re-merge per query
+  (``engine._merger.incremental = False``).
 
 The suite drives each engine over seeded Zipf-like and DDoS streams with a
 query after every chunk, pins repeated-query idempotence (including the
@@ -21,8 +23,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.rhhh
+import repro.hhh.mst
+import repro.hhh.sampled_mst
 from repro.api.session import Session
 from repro.api.specs import AlgorithmSpec, DistribSpec, ExperimentSpec
+from repro.core.output import lattice_output_reference
 from repro.core.rhhh import RHHH
 from repro.core.shard import ShardedHHH
 from repro.distrib.cluster import DistributedCluster
@@ -67,8 +73,21 @@ def _output_state(output):
     )
 
 
+@pytest.fixture
+def reference_output(monkeypatch):
+    """``reference_output(engine, theta)``: the engine's answer through the scalar Output twin."""
+
+    def query(engine, theta):
+        with monkeypatch.context() as patch:
+            for module in (repro.core.rhhh, repro.hhh.mst, repro.hhh.sampled_mst):
+                patch.setattr(module, "lattice_output", lattice_output_reference)
+            return engine.output(theta)
+
+    return query
+
+
 def _core_pair(name):
-    """Build (incremental, scratch-reference) twins of a core engine."""
+    """Build two identical instances of a core engine (array pass, scalar-reference twin)."""
 
     def build():
         if name == "rhhh":
@@ -77,26 +96,24 @@ def _core_pair(name):
             return MST(ipv4_byte_hierarchy(), epsilon=0.05)
         return SampledMST(ipv4_byte_hierarchy(), epsilon=0.05, delta=0.1, seed=7)
 
-    incremental, scratch = build(), build()
-    scratch._output_cache = None
-    return incremental, scratch
+    return build(), build()
 
 
 class TestIncrementalParity:
-    """Incremental output == from-scratch output, bit for bit, every chunk."""
+    """Every engine answers as its reference twin, bit for bit, every chunk."""
 
     @pytest.mark.parametrize("engine", ["rhhh", "mst", "sampled_mst"])
     @pytest.mark.parametrize("stream", sorted(STREAMS))
-    def test_core_engines(self, engine, stream):
+    def test_core_engines(self, engine, stream, reference_output):
         keys = STREAMS[stream]()[:, 0].copy()
-        incremental, scratch = _core_pair(engine)
+        fast, scratch = _core_pair(engine)
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
-            incremental.update_batch(chunk)
+            fast.update_batch(chunk)
             scratch.update_batch(chunk)
             for theta in THETAS:
-                assert _output_state(incremental.output(theta)) == _output_state(
-                    scratch.output(theta)
+                assert _output_state(fast.output(theta)) == _output_state(
+                    reference_output(scratch, theta)
                 ), f"{engine}/{stream} diverged at {lo + CHUNK} packets, theta={theta}"
 
     @pytest.mark.parametrize("stream", sorted(STREAMS))
@@ -105,7 +122,7 @@ class TestIncrementalParity:
         spec = AlgorithmSpec(name="rhhh", epsilon=0.05, delta=0.1, seed=3)
         incremental = ShardedHHH(spec, "1d-bytes", shards=3, parallel=False)
         scratch = ShardedHHH(spec, "1d-bytes", shards=3, parallel=False)
-        scratch._merger.cache = None
+        scratch._merger.incremental = False
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
             incremental.update_batch(chunk)
@@ -126,7 +143,7 @@ class TestIncrementalParity:
         )
         incremental = DistributedCluster(spec)
         scratch = DistributedCluster(spec)
-        scratch._merger.cache = None
+        scratch._merger.incremental = False
         for lo in range(0, len(keys), CHUNK):
             chunk = keys[lo : lo + CHUNK]
             incremental.update_batch(chunk)
@@ -135,31 +152,30 @@ class TestIncrementalParity:
                 scratch.output(0.1)
             ), f"distrib/{stream} diverged at {lo + CHUNK} packets"
 
-    def test_two_dimensional_rhhh(self):
+    def test_two_dimensional_rhhh(self, reference_output):
         keys = _zipf_keys()
-        incremental = RHHH(ipv4_two_dim_byte_hierarchy(), epsilon=0.05, delta=0.1, seed=7)
+        fast = RHHH(ipv4_two_dim_byte_hierarchy(), epsilon=0.05, delta=0.1, seed=7)
         scratch = RHHH(ipv4_two_dim_byte_hierarchy(), epsilon=0.05, delta=0.1, seed=7)
-        scratch._output_cache = None
         for lo in range(0, len(keys), 8_192):
             chunk = keys[lo : lo + 8_192]
-            incremental.update_batch(chunk)
+            fast.update_batch(chunk)
             scratch.update_batch(chunk)
-            assert _output_state(incremental.output(0.2)) == _output_state(
-                scratch.output(0.2)
+            assert _output_state(fast.output(0.2)) == _output_state(
+                reference_output(scratch, 0.2)
             )
 
-    def test_alternating_thetas_share_the_cache(self):
-        """The per-theta LRU keeps independent passes; alternation stays exact."""
+    def test_alternating_thetas_share_the_cache(self, reference_output):
+        """Alternating thresholds between chunks stays exact (no state carries across queries)."""
         keys = _zipf_keys()[:, 0].copy()
-        incremental, scratch = _core_pair("rhhh")
+        fast, scratch = _core_pair("rhhh")
         thetas = (0.05, 0.1, 0.2)
         for i, lo in enumerate(range(0, len(keys), CHUNK)):
             chunk = keys[lo : lo + CHUNK]
-            incremental.update_batch(chunk)
+            fast.update_batch(chunk)
             scratch.update_batch(chunk)
             theta = thetas[i % len(thetas)]
-            assert _output_state(incremental.output(theta)) == _output_state(
-                scratch.output(theta)
+            assert _output_state(fast.output(theta)) == _output_state(
+                reference_output(scratch, theta)
             )
 
 
@@ -189,7 +205,6 @@ class TestRepeatedQueryIdempotence:
         template = engine._template
         # Merged queries never write merged state into the template.
         assert template._total == 0
-        assert template._output_cache is not engine._merger.cache
 
     def test_cluster_output_flushes_the_epoch_then_stays_pinned(self):
         keys = _zipf_keys()[:, 0].copy()

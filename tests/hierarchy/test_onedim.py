@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, HierarchyError
@@ -79,6 +80,16 @@ class TestGeneralization:
             hierarchy.generalize("not an int", 0)
         with pytest.raises(HierarchyError):
             hierarchy.generalize(1 << 40, 0)
+
+    def test_generalize_accepts_numpy_integers(self):
+        hierarchy = ipv4_byte_hierarchy()
+        key = ipv4_to_int("192.168.1.1")
+        for numpy_key in (np.int64(key), np.uint32(key)):
+            masked = hierarchy.generalize(numpy_key, 1)
+            assert masked == ipv4_to_int("192.168.1.0") and type(masked) is int
+            assert type(hierarchy.compile_generalizers()[1](numpy_key)) is int
+        with pytest.raises(HierarchyError):
+            hierarchy.generalize(np.bool_(True), 0)
 
     def test_generalize_prefix(self):
         hierarchy = ipv4_byte_hierarchy()

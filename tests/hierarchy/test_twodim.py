@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import HierarchyError
@@ -77,6 +78,13 @@ class TestGeneralization:
     def test_generalize_rejects_non_pairs(self, lattice):
         with pytest.raises(HierarchyError):
             lattice.generalize(SRC, 0)
+
+    def test_generalize_accepts_numpy_integer_pairs(self, lattice):
+        node = lattice.encode(1, 2)
+        numpy_key = (np.int64(SRC), np.uint32(DST))
+        for masked in (lattice.generalize(numpy_key, node), lattice.compile_generalizers()[node](numpy_key)):
+            assert masked == lattice.generalize((SRC, DST), node)
+            assert [type(member) for member in masked] == [int, int]
 
     def test_compiled_generalizers_match(self, lattice):
         generalizers = lattice.compile_generalizers()
