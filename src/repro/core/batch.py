@@ -11,17 +11,28 @@ counters:
 
 All three share one batch core, :class:`~repro.core.rhhh.LatticeHHH`: each
 algorithm states only its routing policy (which packets reach which node),
-and the core masks each node's keys with the hierarchy's vectorized batch
-generalizers, pre-aggregates duplicate masked keys so every counter sees one
-weighted update per distinct key (applied in ascending key order), and hands
-the aggregated pairs to the counter backend.  This module holds the
-pipeline's building blocks: batch and weight coercion, grouping by node,
-aggregation and the counter feeds.
+and the core masks each node's keys, pre-aggregates duplicate masked keys so
+every counter sees one weighted update per distinct key (applied in
+ascending key order), and hands the aggregated keys to the counter backend.
+
+A numeric batch is packed once per batch
+(:func:`~repro.hh.array_space_saving.pack_keys`: int64 for 1-D keys, uint64
+``src << 32 | dst`` for pairs of 32-bit values).  Masking a node's group is
+then one AND with the hierarchy's packed mask
+(:meth:`~repro.hierarchy.base.Hierarchy.compile_packed_masks`), aggregation
+is one 1-D ``np.unique``, and :func:`feed_counter` hands the packed uniques
+to the array Space Saving as they are, unpacked to the sketches and as a
+key list to every other counter.  A batch that does not pack keeps the
+unpacked path: the hierarchy's vectorized batch generalizers and a
+structured-row ``np.unique`` for pairs.  This module holds the pipeline's
+building blocks: batch and weight coercion, grouping by node, aggregation
+and the counter feeds.
 
 The aggregation order contract matters: both the vectorized paths and the
 scalar reference paths (``update_batch_reference``) emit pairs in ascending
-key order (lexicographic for 2-D keys), which is what makes a vectorized
-feed bit-identical to its scalar specification.
+key order (lexicographic for 2-D keys, which is also the packed uint64
+order), which is what makes a vectorized feed bit-identical to its scalar
+specification.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hh.array_space_saving import pack_keys, unpack_keys
+from repro.hh.array_space_saving import unpack_key_array, unpack_keys
 
 
 def unique_totals(values: np.ndarray, weights: Optional[np.ndarray], *, axis=None):
@@ -66,13 +77,6 @@ def aggregated_arrays(masked, weights: Optional[np.ndarray]) -> Tuple[list, np.n
     from the scalar-loop fallback.
     """
     if isinstance(masked, np.ndarray):
-        # (src, dst) pairs that fit 32 bits each pack into one uint64, so
-        # np.unique runs a flat integer sort instead of the much slower
-        # structured-row sort; uint64 order == lexicographic pair order.
-        packed = pack_keys(masked) if masked.ndim == 2 else None
-        if packed is not None:
-            unique, totals = unique_totals(packed, weights)
-            return unpack_keys(unique), totals
         axis = 0 if masked.ndim == 2 else None
         unique, totals = unique_totals(masked, weights, axis=axis)
         if masked.ndim == 2:
@@ -102,50 +106,60 @@ def aggregate_masked(masked, weights: Optional[np.ndarray]):
 def unique_key_array(masked, weights: Optional[np.ndarray]):
     """Aggregate a numeric masked batch keeping the unique keys in array form.
 
-    Array-native view of :func:`aggregated_arrays` for counters that declare
-    ``AGGREGATED_KEY_ARRAYS`` (the sketches and the array Space Saving):
-    same ascending key order, same int64 totals, but the unique keys stay a
-    numpy array - 1-D for scalar keys, ``(n, 2)`` for pairs - so the counter
-    can hash or pack them without a Python list round-trip.  Returns
-    ``(None, None)`` when the batch is not a numeric key array (the caller
-    falls back to the list form).
+    Array-native view of :func:`aggregated_arrays`: same ascending key
+    order, same int64 totals, but the unique keys stay a numpy array - 1-D
+    for scalar and packed keys, ``(n, 2)`` for pairs - so the counter can
+    hash or pack them without a Python list round-trip.  A packed batch
+    (int64 1-D keys or uint64 ``src << 32 | dst`` pairs) is a flat integer
+    array, so its aggregation is one 1-D ``np.unique``; packed order is the
+    lexicographic pair order.  Returns ``(None, None)`` when the batch is
+    not a numeric key array (the caller falls back to the list form).
     """
     if not isinstance(masked, np.ndarray) or masked.dtype.kind not in "iu":
         return None, None
     if masked.ndim == 1:
         return unique_totals(masked, weights)
     if masked.ndim == 2 and masked.shape[1] == 2:
-        # Same packing as aggregated_arrays, so both forms emit identical key order.
-        packed = pack_keys(masked)
-        if packed is not None:
-            unique, totals = unique_totals(packed, weights)
-            pairs = np.empty((len(unique), 2), dtype=np.int64)
-            pairs[:, 0] = (unique >> np.uint64(32)).astype(np.int64)
-            pairs[:, 1] = (unique & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            return pairs, totals
         return unique_totals(masked, weights, axis=0)
     return None, None
 
 
-def feed_counter(counter, masked, weights: Optional[np.ndarray]) -> None:
+def feed_counter(counter, masked, weights: Optional[np.ndarray], *, packed: bool = False) -> None:
     """Apply an aggregated masked batch through the counter's fastest interface.
 
-    Counters that expose ``update_aggregated(keys, weights)`` (the
-    struct-of-arrays backends) receive the aggregation output verbatim -
-    distinct keys plus an int64 weight array.  Backends that additionally
-    declare ``AGGREGATED_KEY_ARRAYS = True`` (the sketches and the array
-    Space Saving) get the unique keys as a numpy array when the batch is
-    numeric, skipping the Python list round-trip entirely; everything else
-    gets a key list, or the equivalent ``(key, weight)`` pair stream via
-    ``update_batch``.
+    ``packed=True`` says ``masked`` is a packed batch
+    (:func:`~repro.hh.array_space_saving.pack_keys`: int64 1-D keys or uint64
+    ``src << 32 | dst`` pairs); the flag is never inferred from the dtype, a
+    raw uint64 1-D batch is not pairs.  A packed batch is aggregated with one
+    1-D ``np.unique`` and its unique keys go to ``update_packed`` as they
+    are (the array Space Saving), to the other ``AGGREGATED_KEY_ARRAYS``
+    backends (the sketches) unpacked into the 1-D or ``(n, 2)`` array an
+    unpacked batch would give them, and to everything else as a key list.
+
+    An unpacked batch: counters that expose ``update_aggregated(keys,
+    weights)`` (the struct-of-arrays backends) receive the aggregation output
+    verbatim - distinct keys plus an int64 weight array.  Backends that
+    additionally declare ``AGGREGATED_KEY_ARRAYS = True`` get the unique
+    keys as a numpy array when the batch is numeric, skipping the Python
+    list round-trip; everything else gets a key list, or the equivalent
+    ``(key, weight)`` pair stream via ``update_batch``.
     """
     fast = getattr(counter, "update_aggregated", None)
-    if fast is not None and getattr(counter, "AGGREGATED_KEY_ARRAYS", False):
+    arrays = fast is not None and getattr(counter, "AGGREGATED_KEY_ARRAYS", False)
+    if packed:
         unique, totals = unique_key_array(masked, weights)
-        if unique is not None:
-            fast(unique, totals)
+        update_packed = getattr(counter, "update_packed", None)
+        if update_packed is not None:
+            update_packed(unique, totals)
             return
-    keys, totals = aggregated_arrays(masked, weights)
+        keys = unpack_key_array(unique) if arrays else unpack_keys(unique)
+    else:
+        if arrays:
+            unique, totals = unique_key_array(masked, weights)
+            if unique is not None:
+                fast(unique, totals)
+                return
+        keys, totals = aggregated_arrays(masked, weights)
     if fast is not None:
         fast(keys, totals)
     else:

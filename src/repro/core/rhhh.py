@@ -56,6 +56,7 @@ from repro.core.output import (
     validate_theta,
 )
 from repro.exceptions import ConfigurationError
+from repro.hh.array_space_saving import pack_keys
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
 
@@ -90,6 +91,7 @@ class LatticeHHH(HHHAlgorithm):
         self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
         self._generalizers = hierarchy.compile_generalizers()
         self._batch_generalizers = hierarchy.compile_batch_generalizers()
+        self._packed_masks = hierarchy.compile_packed_masks()
         #: Per-lattice-node update counters: every counter update bumps its
         #: node.  In-process replicas hand them to the merger as merge
         #: signatures (an unchanged stamp means an unchanged node).
@@ -113,14 +115,17 @@ class LatticeHHH(HHHAlgorithm):
     def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
         """Vectorized batch update: the packets :meth:`_plan` routes to each node.
 
-        Each group's keys are masked with the node's vectorized batch
-        generalizer, duplicate masked keys collapse into one weighted update
-        per distinct key, fed in ascending key order, and the node's version
-        moves.  Random plans draw from the batch RNG, not the per-packet
-        ``random.Random``, so a batch-fed and an update()-fed instance diverge
-        even with equal seeds.  :meth:`update_batch_reference` replays the
-        same semantics with scalar loops and is bit-identical; keys numpy
-        cannot mask take that scalar path here too.
+        The batch is packed once (:func:`~repro.hh.array_space_saving.pack_keys`)
+        when the hierarchy has packed masks and the keys fit them; each
+        node's group is then masked with one AND on the packed integers.
+        Batches that do not pack are masked with the node's vectorized batch
+        generalizer instead.  Either way duplicate masked keys collapse into
+        one weighted update per distinct key, fed in ascending key order, and
+        the node's version moves.  Random plans draw from the batch RNG, not
+        the per-packet ``random.Random``, so a batch-fed and an update()-fed
+        instance diverge even with equal seeds.  :meth:`update_batch_reference`
+        replays the same semantics with scalar loops and is bit-identical;
+        keys numpy cannot mask take that scalar path here too.
         """
         n = len(keys)
         if n == 0:
@@ -132,15 +137,30 @@ class LatticeHHH(HHHAlgorithm):
         if keys_arr is None:
             self._apply_plan_reference(keys, weights_arr, plan)
             return
+        packed = self._pack(keys_arr)
+        batch = keys_arr if packed is None else packed
         for node, rows in plan:
-            if rows is None:
-                masked = self._batch_generalizers[node](keys_arr)
-                group_weights = weights_arr
+            group = batch if rows is None else batch[rows]
+            group_weights = weights_arr if rows is None or weights_arr is None else weights_arr[rows]
+            if packed is None:
+                feed_counter(self._counters[node], self._batch_generalizers[node](group), group_weights)
             else:
-                masked = self._batch_generalizers[node](keys_arr[rows])
-                group_weights = weights_arr[rows] if weights_arr is not None else None
-            feed_counter(self._counters[node], masked, group_weights)
+                feed_counter(self._counters[node], group & self._packed_masks[node], group_weights,
+                             packed=True)
             self._versions[node] += 1
+
+    def _pack(self, keys_arr: np.ndarray) -> Optional[np.ndarray]:
+        """The batch packed in the domain of the hierarchy's packed masks, or ``None``.
+
+        ``pack_keys`` gives int64 for 1-D arrays and uint64 for ``(n, 2)``
+        arrays, so a batch whose shape does not fit the hierarchy (and one
+        whose values do not pack) keeps the unpacked path.
+        """
+        masks = self._packed_masks
+        if masks is None:
+            return None
+        packed = pack_keys(keys_arr)
+        return packed if packed is not None and packed.dtype == masks.dtype else None
 
     def update_batch_reference(
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None

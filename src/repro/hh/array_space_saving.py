@@ -23,10 +23,19 @@ of them is authoritative at a time:
 A batch that inserts any key drops the scalar index; a scalar insert or
 eviction drops the batch index.  Hits change no key, so they keep both.
 Each index is rebuilt from the other in one vectorized step, and only when
-its side next needs it: a point query after a batch unpacks the keys and
-orders them by ``entered``; a batch after scalar writes packs the key list.
-The Output pass reads whichever index is current in place
-(:meth:`ArraySpaceSaving.tracked_entries`) and rebuilds neither.
+its side next needs it: a scalar write or an iteration after a batch
+unpacks the keys and orders them by ``entered``; a batch after scalar
+writes packs the key list.  Neither the Output pass
+(:meth:`ArraySpaceSaving.tracked_entries`, which reads whichever index is
+current in place) nor a point query rebuilds an index: on a table holding
+only the batch index, ``estimate``, ``upper_bound``, ``lower_bound``,
+``in`` and ``error_of`` pack the one key and look it up among the packed
+keys (a key that does not pack as the table's dtype takes the dict).
+
+The lattice batch core packs each batch once and hands its aggregated
+unique keys over packed (:meth:`ArraySpaceSaving.update_packed`); key
+arrays and lists from other callers are packed on entry
+(:meth:`ArraySpaceSaving.update_aggregated`).
 
 On the batch index a batch of ``b`` distinct keys costs no per-key Python
 work outside the heap replay below:
@@ -174,6 +183,24 @@ def unpack_keys(packed: np.ndarray) -> list:
     return list(zip((packed >> np.uint64(32)).tolist(), (packed & _LOW32).tolist()))
 
 
+def unpack_key_array(packed: np.ndarray) -> np.ndarray:
+    """Array inverse of :func:`pack_keys`: int64 keys as they are, uint64 pairs as int64 ``(n, 2)``."""
+    if packed.dtype == np.int64:
+        return packed
+    pairs = np.empty((len(packed), 2), dtype=np.int64)
+    pairs[:, 0] = packed >> np.uint64(32)
+    pairs[:, 1] = packed & _LOW32
+    return pairs
+
+
+def _positive(weights) -> np.ndarray:
+    """Batch weights as an int64 array; raises unless every weight is positive."""
+    weights = np.asarray(weights, dtype=np.int64)
+    if int(weights.min()) <= 0:
+        raise ValueError("weight must be positive")
+    return weights
+
+
 class ArraySpaceSaving(CounterAlgorithm):
     """Space Saving over parallel numpy arrays, optimized for aggregated batches.
 
@@ -185,7 +212,8 @@ class ArraySpaceSaving(CounterAlgorithm):
 
     #: ``repro.core.batch.feed_counter`` hands this backend a numeric batch's
     #: unique keys as an array, which the batch index packs without a
-    #: Python list round-trip.
+    #: Python list round-trip; a packed batch's keys go to
+    #: :meth:`update_packed` as they are.
     AGGREGATED_KEY_ARRAYS = True
 
     def __init__(self, capacity: Optional[int] = None, *, epsilon: Optional[float] = None) -> None:
@@ -377,13 +405,12 @@ class ArraySpaceSaving(CounterAlgorithm):
         keys_in = [pair[0] for pair in pairs]
         weights = np.fromiter((pair[1] for pair in pairs), dtype=np.int64, count=n)
         if len(set(keys_in)) != n:
-            if int(weights.min()) <= 0:
-                raise ValueError("weight must be positive")
+            _positive(weights)
             # Not pre-aggregated: duplicate keys interact through the table
             # state, so replay sequentially instead of the bulk paths.
             self.update_batch_reference(pairs)
             return
-        self._apply_aggregated(keys_in, weights)
+        self.update_aggregated(keys_in, weights)
 
     def update_batch_reference(self, items) -> None:
         """Scalar twin of :meth:`update_batch`: the same pairs, hits first, one at a time.
@@ -394,25 +421,39 @@ class ArraySpaceSaving(CounterAlgorithm):
         for key, weight in hits_first(items, self._scalar_index()):
             self.update(key, int(weight))
 
-    def update_aggregated(self, keys, weights: np.ndarray) -> None:
+    def update_aggregated(self, keys, weights) -> None:
         """Batch-engine fast path: aggregation output applied verbatim.
 
         ``keys`` holds distinct keys - a list, or (``AGGREGATED_KEY_ARRAYS``)
         the 1-D or ``(n, 2)`` unique-key array of
         :func:`repro.core.batch.unique_key_array` - and ``weights`` the
-        matching positive totals.  Applied in the same hits-first order as
-        :meth:`update_batch`.
+        matching positive totals.  The keys are packed and applied by
+        :meth:`update_packed`, in the same hits-first order as
+        :meth:`update_batch`; keys that do not pack take
+        :meth:`update_batch_reference`.
         """
         if len(keys) == 0:
             return
-        self._apply_aggregated(keys, np.asarray(weights, dtype=np.int64))
-
-    def _apply_aggregated(self, keys, weights: np.ndarray) -> None:
-        if int(weights.min()) <= 0:
-            raise ValueError("weight must be positive")
         packed = pack_keys(keys)
-        if packed is None or not self._batch_index(packed.dtype):
-            self.update_batch_reference(zip(key_objects(keys), weights.tolist()))
+        if packed is None:
+            self.update_batch_reference(zip(key_objects(keys), _positive(weights).tolist()))
+            return
+        self.update_packed(packed, weights)
+
+    def update_packed(self, packed: np.ndarray, weights) -> None:
+        """Batch-engine fast path for distinct keys already packed by :func:`pack_keys`.
+
+        The lattice batch core packs a batch once and masks, aggregates and
+        hands it over in that form, so no key is packed again here.  Applied
+        on the batch index, hits first; a table whose keys do not pack as
+        ``packed.dtype`` (another key kind, or keys that do not pack at all)
+        takes :meth:`update_batch_reference`.
+        """
+        if len(packed) == 0:
+            return
+        weights = _positive(weights)
+        if not self._batch_index(packed.dtype):
+            self.update_batch_reference(zip(unpack_keys(packed), weights.tolist()))
             return
         n = len(packed)
         self._total += int(weights.sum())
@@ -581,14 +622,30 @@ class ArraySpaceSaving(CounterAlgorithm):
     # queries
     # ------------------------------------------------------------------ #
 
+    def _find(self, key: Hashable) -> Optional[int]:
+        """Slot of ``key``, or ``None`` if the table does not monitor it.
+
+        A table holding only the batch index packs the one key and looks it
+        up among the packed keys, so a point query between batches rebuilds
+        no dict.  A key that does not pack as the table's dtype (bools,
+        numpy scalars, another key kind) takes the dict, which gives it the
+        dict's own equality semantics.
+        """
+        if self._slot is None:
+            packed = pack_keys([key])
+            if packed is not None and packed.dtype == self._packed.dtype:
+                slot = int(self._lookup(packed)[0])
+                return slot if slot >= 0 else None
+        return (self._slot or self._scalar_index()).get(key)
+
     def estimate(self, key: Hashable) -> float:
-        slot = (self._slot or self._scalar_index()).get(key)
+        slot = self._find(key)
         if slot is None:
             return float(self._min_count())
         return float(self._counts[slot])
 
     def upper_bound(self, key: Hashable) -> float:
-        slot = (self._slot or self._scalar_index()).get(key)
+        slot = self._find(key)
         if slot is None:
             return self._absent_upper()
         return float(self._counts[slot])
@@ -599,7 +656,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         return float(max(self._min_count(), self._absent_floor))
 
     def lower_bound(self, key: Hashable) -> float:
-        slot = (self._slot or self._scalar_index()).get(key)
+        slot = self._find(key)
         if slot is None:
             return 0.0
         return float(self._counts[slot] - self._errors[slot])
@@ -631,7 +688,7 @@ class ArraySpaceSaving(CounterAlgorithm):
         return self._size
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in (self._slot or self._scalar_index())
+        return self._find(key) is not None
 
     @property
     def capacity(self) -> int:
@@ -640,7 +697,7 @@ class ArraySpaceSaving(CounterAlgorithm):
 
     def error_of(self, key: Hashable) -> int:
         """Return the recorded overestimation error of a monitored key (0 if absent)."""
-        slot = (self._slot or self._scalar_index()).get(key)
+        slot = self._find(key)
         if slot is None:
             return 0
         return int(self._errors[slot])

@@ -21,6 +21,8 @@ from __future__ import annotations
 import abc
 from typing import Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.hierarchy.prefix import Prefix
 
 PrefixKey = Tuple[int, Hashable]
@@ -123,6 +125,19 @@ class Hierarchy(abc.ABC):
             return lambda keys: [generalize(key) for key in keys]
 
         return [_make(g) for g in scalar]
+
+    def compile_packed_masks(self) -> Optional[np.ndarray]:
+        """Return the per-node masks in the packed key domain, or ``None``.
+
+        The batch engine packs a whole batch once
+        (:func:`repro.hh.array_space_saving.pack_keys`: int64 for 1-D keys,
+        uint64 ``src << 32 | dst`` for pairs) and generalizes it to lattice
+        node ``i`` with one AND against entry ``i`` of this table, whose
+        dtype is the packed dtype the hierarchy's keys take.  The default is
+        ``None``: no packed form, the batch engine keeps the
+        :meth:`compile_batch_generalizers` path.
+        """
+        return None
 
     def is_proper_ancestor(self, ancestor: PrefixKey, descendant: PrefixKey) -> bool:
         """Return True when ``ancestor`` strictly generalizes ``descendant``."""

@@ -128,6 +128,12 @@ class OneDimHierarchy(Hierarchy):
             return super().compile_batch_generalizers()
         return [lambda keys, mask=mask: np.bitwise_and(keys, mask) for mask in self._masks]
 
+    def compile_packed_masks(self) -> Optional[np.ndarray]:
+        """The per-node masks as int64, the packed form of 1-D keys; ``None`` past 63 bits."""
+        if self._total_bits > 63:
+            return None
+        return np.array(self._masks, dtype=np.int64)
+
     def generalize_prefix(self, prefix: PrefixKey, node: int) -> Optional[int]:
         self._check_node(node)
         p_node, value = prefix

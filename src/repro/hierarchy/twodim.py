@@ -151,6 +151,21 @@ class TwoDimHierarchy(Hierarchy):
             generalizers.append(lambda keys, mask=mask: np.bitwise_and(keys, mask))
         return generalizers
 
+    def compile_packed_masks(self) -> Optional[np.ndarray]:
+        """The per-node masks as uint64 ``src_mask << 32 | dst_mask``, the packed form of pairs.
+
+        ``None`` when either dimension is wider than 32 bits: its keys do
+        not pack into one uint64.
+        """
+        if self._src.total_bits > 32 or self._dst.total_bits > 32:
+            return None
+        src_masks = self._src.masks()
+        dst_masks = self._dst.masks()
+        return np.array(
+            [(src_masks[i] << 32) | dst_masks[j] for i, j in map(self.decode, range(self.size))],
+            dtype=np.uint64,
+        )
+
     def generalize_prefix(self, prefix: PrefixKey, node: int) -> Optional[Tuple[int, int]]:
         p_node, value = prefix
         pi, pj = self.decode(p_node)

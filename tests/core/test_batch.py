@@ -142,6 +142,34 @@ class TestFeedCounter:
         assert seen == [(2, 4), (5, 3)]
         assert all(isinstance(w, int) for _key, w in seen)
 
+    def test_packed_batch_routes_by_counter_interface(self):
+        # Pairs (5, 1), (2, 7), (5, 1) packed: each backend gets the uniques
+        # in its own form, never inferred from the array's dtype.
+        masked = np.asarray([5 << 32 | 1, 2 << 32 | 7, 5 << 32 | 1], dtype=np.uint64)
+        seen = {}
+
+        class Packed:
+            def update_packed(self, keys, totals):
+                seen["packed"] = (keys.dtype, keys.tolist(), totals.tolist())
+
+        class Arrays:
+            AGGREGATED_KEY_ARRAYS = True
+
+            def update_aggregated(self, keys, totals):
+                seen["arrays"] = (keys.tolist(), totals.tolist())
+
+        class Pairs:
+            def update_batch(self, items):
+                seen["pairs"] = list(items)
+
+        for counter in (Packed(), Arrays(), Pairs()):
+            feed_counter(counter, masked, None, packed=True)
+        assert seen == {
+            "packed": (np.dtype(np.uint64), [2 << 32 | 7, 5 << 32 | 1], [1, 2]),
+            "arrays": ([[2, 7], [5, 1]], [1, 2]),
+            "pairs": [((2, 7), 1), ((5, 1), 2)],
+        }
+
 
 class TestSortedPairs:
     def test_orders_comparable_keys(self):

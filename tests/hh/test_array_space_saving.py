@@ -279,6 +279,51 @@ class TestBatchContracts:
         assert _full_state(via_arrays) == _full_state(via_pairs)
 
 
+def _point_answers(counter, key):
+    return (
+        counter.estimate(key),
+        counter.upper_bound(key),
+        counter.lower_bound(key),
+        key in counter,
+        counter.error_of(key),
+    )
+
+
+class TestPointQueriesOnBatchIndex:
+    """A table holding only the batch index answers point queries from the
+    packed keys, rebuilding no dict, and answers exactly as the linked twin."""
+
+    @pytest.mark.parametrize("kind", ["ints", "pairs"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_queries_match_linked_twin_without_dict_rebuild(self, kind, seed):
+        rng = random.Random(seed)
+        linked = SpaceSaving(capacity=6)
+        array = ArraySpaceSaving(capacity=6)
+        make = _int_keys if kind == "ints" else _pair_keys
+        for _ in range(3):
+            keys = make(rng, 15)
+            weights = np.asarray([rng.randrange(1, 6) for _ in range(15)], dtype=np.int64)
+            linked.update_batch(list(zip(key_objects(keys), weights.tolist())))
+            array.update_aggregated(keys, weights)
+        assert array._slot is None
+        queried = list(linked) + (
+            list(range(45)) if kind == "ints" else [(src, dst) for src in range(8) for dst in range(8)]
+        )
+        for key in queried:
+            assert _point_answers(array, key) == _point_answers(linked, key), key
+        assert array._slot is None
+
+    @pytest.mark.parametrize("key", [True, np.int64(3), 3.0, (3, 1), "3", -1, 2**64])
+    def test_keys_that_do_not_pack_answer_through_the_dict(self, key):
+        linked = SpaceSaving(capacity=4)
+        array = ArraySpaceSaving(capacity=4)
+        pairs = [(1, 2), (3, 5), (8, 1), (9, 4), (12, 3)]
+        linked.update_batch(pairs)
+        array.update_aggregated(np.asarray([k for k, _ in pairs]), np.asarray([w for _, w in pairs]))
+        assert array._slot is None
+        assert _point_answers(array, key) == _point_answers(linked, key)
+
+
 class TestRHHHIntegration:
     """The batch engine must stay bit-identical to its scalar reference when
     the array backend is plugged in (the reference path drives the backend
