@@ -15,21 +15,24 @@ and the core masks each node's keys, pre-aggregates duplicate masked keys so
 every counter sees one weighted update per distinct key (applied in
 ascending key order), and hands the aggregated keys to the counter backend.
 
-A numeric batch is packed once per batch
+An integer batch is packed once per batch
 (:func:`~repro.hh.array_space_saving.pack_keys`: int64 for 1-D keys, uint64
-``src << 32 | dst`` for pairs of 32-bit values).  Masking a node's group is
-then one AND with the hierarchy's packed mask
+``src << 32 | dst`` for pairs of 32-bit values), after reducing it to the
+hierarchy's domain when it does not pack as it is.  Masking a node's group
+is then one AND with the hierarchy's packed mask
 (:meth:`~repro.hierarchy.base.Hierarchy.compile_packed_masks`), aggregation
-is one 1-D ``np.unique``, and :func:`feed_counter` hands the packed uniques
-to the array Space Saving as they are, unpacked to the sketches and as a
-key list to every other counter.  A batch that does not pack keeps the
-unpacked path: the hierarchy's vectorized batch generalizers and a
-structured-row ``np.unique`` for pairs.  This module holds the pipeline's
-building blocks: batch and weight coercion, grouping by node, aggregation
-and the counter feeds.
+is one 1-D ``np.unique`` (:func:`unique_key_array`), and
+:func:`feed_counter` hands the packed uniques to the array Space Saving as
+they are, unpacked to the sketches and as Python keys to every other
+counter.  Packing is the only vectorized key form: keys numpy cannot hold
+(object arrays, integers past 64 bits) and hierarchies without a packed mask
+table (IPv6) take the scalar twin, whose dict aggregation is
+:func:`aggregated_arrays`.  This module holds the pipeline's building
+blocks: batch and weight coercion, the key-batch check, grouping by node,
+aggregation and the counter feeds.
 
-The aggregation order contract matters: both the vectorized paths and the
-scalar reference paths (``update_batch_reference``) emit pairs in ascending
+The aggregation order contract matters: both the vectorized path and the
+scalar reference path (``update_batch_reference``) emit pairs in ascending
 key order (lexicographic for 2-D keys, which is also the packed uint64
 order), which is what makes a vectorized feed bit-identical to its scalar
 specification.
@@ -37,27 +40,30 @@ specification.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, HierarchyError
 from repro.hh.array_space_saving import unpack_key_array, unpack_keys
+from repro.hierarchy.base import Hierarchy
 
 
-def unique_totals(values: np.ndarray, weights: Optional[np.ndarray], *, axis=None):
-    """Unique values (ascending) and their int64 total weights (counts if unweighted).
+def unique_key_array(packed: np.ndarray, weights: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Aggregate a packed masked group: its unique keys (ascending) and int64 totals.
 
+    The group is a flat integer array in the packed key form, so its
+    aggregation is one 1-D ``np.unique``; packed order is the ascending key
+    order (lexicographic for pairs).  Totals are counts when unweighted.
     The weighted ``bincount`` sums in float64, which is exact while every
     partial sum stays below ``2**53``; batches that could pass it are summed
     exactly in int64 instead, so the totals always match a per-key scalar
     sum.
     """
     if weights is None:
-        unique, counts = np.unique(values, axis=axis, return_counts=True)
+        unique, counts = np.unique(packed, return_counts=True)
         return unique, counts.astype(np.int64)
-    unique, inverse = np.unique(values, axis=axis, return_inverse=True)
-    inverse = inverse.ravel()
+    unique, inverse = np.unique(packed, return_inverse=True)
     if weights.size == 0 or int(weights.max()) * weights.size < (1 << 53):
         return unique, np.bincount(inverse, weights=weights).astype(np.int64)
     totals = np.zeros(len(unique), dtype=np.int64)
@@ -65,23 +71,13 @@ def unique_totals(values: np.ndarray, weights: Optional[np.ndarray], *, axis=Non
     return unique, totals
 
 
-def aggregated_arrays(masked, weights: Optional[np.ndarray]) -> Tuple[list, np.ndarray]:
-    """Aggregate duplicate masked keys into ``(key_list, total_weights)``.
+def aggregated_arrays(masked: Iterable, weights: Optional[np.ndarray]) -> Tuple[list, np.ndarray]:
+    """Aggregate duplicate masked keys into ``(key_list, total_weights)`` with a dict.
 
-    Keys come back as a plain Python list in ascending order (lexicographic
-    for 2-D keys) - they are about to become dict keys inside a counter -
-    and the per-key totals as an int64 array.  Both the vectorized and the
-    scalar reference paths follow the same order so their counter states
-    match exactly.  ``masked`` is a numpy array from a vectorized batch
-    generalizer (1-D for scalar keys, ``(n, 2)`` for pairs) or a plain list
-    from the scalar-loop fallback.
+    The scalar twin of :func:`unique_key_array`: keys come back as a plain
+    Python list in ascending order (lexicographic for 2-D keys; insertion
+    order for unorderable keys) and the per-key totals as an int64 array.
     """
-    if isinstance(masked, np.ndarray):
-        axis = 0 if masked.ndim == 2 else None
-        unique, totals = unique_totals(masked, weights, axis=axis)
-        if masked.ndim == 2:
-            return [tuple(row) for row in unique.tolist()], totals
-        return unique.tolist(), totals
     aggregate: dict = {}
     if weights is None:
         for key in masked:
@@ -93,77 +89,26 @@ def aggregated_arrays(masked, weights: Optional[np.ndarray]) -> Tuple[list, np.n
     return [pair[0] for pair in pairs], np.asarray([pair[1] for pair in pairs], dtype=np.int64)
 
 
-def aggregate_masked(masked, weights: Optional[np.ndarray]):
-    """Aggregate duplicate masked keys into ``(key, total_weight)`` pairs.
+def feed_counter(counter, packed: np.ndarray, weights: Optional[np.ndarray]) -> None:
+    """Aggregate a packed masked group and apply it through the counter's fastest interface.
 
-    Pair-iterable view of :func:`aggregated_arrays`, in the same ascending
-    key order; this is what a counter's generic ``update_batch`` consumes.
+    ``packed`` is in the packed key form of
+    :func:`~repro.hh.array_space_saving.pack_keys` (int64 1-D keys or uint64
+    ``src << 32 | dst`` pairs).  Its unique keys go to ``update_packed`` as
+    they are (the array Space Saving), to ``update_aggregated`` unpacked
+    into an int64 1-D or ``(n, 2)`` array (the sketches), and to every other
+    counter's ``update_batch`` as a ``(key, weight)`` stream of Python keys.
     """
-    keys, totals = aggregated_arrays(masked, weights)
-    return zip(keys, totals.tolist())
-
-
-def unique_key_array(masked, weights: Optional[np.ndarray]):
-    """Aggregate a numeric masked batch keeping the unique keys in array form.
-
-    Array-native view of :func:`aggregated_arrays`: same ascending key
-    order, same int64 totals, but the unique keys stay a numpy array - 1-D
-    for scalar and packed keys, ``(n, 2)`` for pairs - so the counter can
-    hash or pack them without a Python list round-trip.  A packed batch
-    (int64 1-D keys or uint64 ``src << 32 | dst`` pairs) is a flat integer
-    array, so its aggregation is one 1-D ``np.unique``; packed order is the
-    lexicographic pair order.  Returns ``(None, None)`` when the batch is
-    not a numeric key array (the caller falls back to the list form).
-    """
-    if not isinstance(masked, np.ndarray) or masked.dtype.kind not in "iu":
-        return None, None
-    if masked.ndim == 1:
-        return unique_totals(masked, weights)
-    if masked.ndim == 2 and masked.shape[1] == 2:
-        return unique_totals(masked, weights, axis=0)
-    return None, None
-
-
-def feed_counter(counter, masked, weights: Optional[np.ndarray], *, packed: bool = False) -> None:
-    """Apply an aggregated masked batch through the counter's fastest interface.
-
-    ``packed=True`` says ``masked`` is a packed batch
-    (:func:`~repro.hh.array_space_saving.pack_keys`: int64 1-D keys or uint64
-    ``src << 32 | dst`` pairs); the flag is never inferred from the dtype, a
-    raw uint64 1-D batch is not pairs.  A packed batch is aggregated with one
-    1-D ``np.unique`` and its unique keys go to ``update_packed`` as they
-    are (the array Space Saving), to the other ``AGGREGATED_KEY_ARRAYS``
-    backends (the sketches) unpacked into the 1-D or ``(n, 2)`` array an
-    unpacked batch would give them, and to everything else as a key list.
-
-    An unpacked batch: counters that expose ``update_aggregated(keys,
-    weights)`` (the struct-of-arrays backends) receive the aggregation output
-    verbatim - distinct keys plus an int64 weight array.  Backends that
-    additionally declare ``AGGREGATED_KEY_ARRAYS = True`` get the unique
-    keys as a numpy array when the batch is numeric, skipping the Python
-    list round-trip; everything else gets a key list, or the equivalent
-    ``(key, weight)`` pair stream via ``update_batch``.
-    """
+    unique, totals = unique_key_array(packed, weights)
+    update_packed = getattr(counter, "update_packed", None)
+    if update_packed is not None:
+        update_packed(unique, totals)
+        return
     fast = getattr(counter, "update_aggregated", None)
-    arrays = fast is not None and getattr(counter, "AGGREGATED_KEY_ARRAYS", False)
-    if packed:
-        unique, totals = unique_key_array(masked, weights)
-        update_packed = getattr(counter, "update_packed", None)
-        if update_packed is not None:
-            update_packed(unique, totals)
-            return
-        keys = unpack_key_array(unique) if arrays else unpack_keys(unique)
-    else:
-        if arrays:
-            unique, totals = unique_key_array(masked, weights)
-            if unique is not None:
-                fast(unique, totals)
-                return
-        keys, totals = aggregated_arrays(masked, weights)
     if fast is not None:
-        fast(keys, totals)
+        fast(unpack_key_array(unique), totals)
     else:
-        counter.update_batch(zip(keys, totals.tolist()))
+        counter.update_batch(zip(unpack_keys(unique), totals.tolist()))
 
 
 def feed_counter_reference(counter, pairs) -> None:
@@ -210,6 +155,25 @@ def coerce_key_array(keys: Sequence, n: int) -> Optional[np.ndarray]:
             return None
     if arr.dtype == object or len(arr) != n:
         return None
+    return arr
+
+
+def hierarchy_key_array(keys: Sequence, hierarchy: Hierarchy) -> Optional[np.ndarray]:
+    """The batch as a numpy array of ``hierarchy`` keys, or ``None`` (see :func:`coerce_key_array`).
+
+    Raises :class:`~repro.exceptions.HierarchyError` for a batch numpy holds
+    that cannot be keys of the hierarchy: a dtype other than integer, or a
+    shape other than ``(n,)`` on a 1-D and ``(n, 2)`` on a 2-D hierarchy.
+    Engines call this before any state moves.
+    """
+    arr = coerce_key_array(keys, len(keys))
+    if arr is not None and (
+        arr.dtype.kind not in "iu" or arr.shape[1:] != (2,) * (hierarchy.dimensions - 1)
+    ):
+        raise HierarchyError(
+            f"{hierarchy.name} expects {hierarchy.dimensions}-D integer keys, "
+            f"got a {arr.dtype} batch of shape {arr.shape}"
+        )
     return arr
 
 

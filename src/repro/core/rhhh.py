@@ -40,13 +40,13 @@ import numpy as np
 from repro.analysis.bounds import coverage_correction
 from repro.core.base import HHHAlgorithm, HHHOutput
 from repro.core.batch import (
+    aggregated_arrays,
     check_weight,
-    coerce_key_array,
     coerce_weights,
     feed_counter,
     feed_counter_reference,
     group_by_node,
-    sorted_pairs,
+    hierarchy_key_array,
 )
 from repro.core.config import RHHHConfig
 from repro.core.output import (
@@ -69,8 +69,8 @@ class LatticeHHH(HHHAlgorithm):
     """An HHH algorithm keeping one counter summary per lattice node.
 
     Owns the state RHHH, MST and SampledMST share: the per-node counters
-    (built from one resolved counter factory), the scalar and batch
-    generalizers, and the per-node version counters that stamp every
+    (built from one resolved counter factory), the scalar generalizers, the
+    packed mask table, and the per-node version counters that stamp every
     counter update.
 
     Subclasses implement :meth:`query`, their Output over explicit state
@@ -90,8 +90,13 @@ class LatticeHHH(HHHAlgorithm):
         counter_factory = prepare_counter_factory(counter, epsilon)
         self._counters: List[CounterAlgorithm] = [counter_factory() for _ in range(hierarchy.size)]
         self._generalizers = hierarchy.compile_generalizers()
-        self._batch_generalizers = hierarchy.compile_batch_generalizers()
         self._packed_masks = hierarchy.compile_packed_masks()
+        if self._packed_masks is not None:
+            # Node 0 is fully specified: its mask is the hierarchy's domain,
+            # per dimension (``src`` and ``dst`` halves of a packed pair).
+            full = int(self._packed_masks[0])
+            pair = self._packed_masks.dtype == np.uint64
+            self._domain = np.array([full >> 32, full & 0xFFFFFFFF] if pair else full, dtype=np.uint64)
         #: Per-lattice-node update counters: every counter update bumps its
         #: node.  In-process replicas hand them to the merger as merge
         #: signatures (an unchanged stamp means an unchanged node).
@@ -115,67 +120,65 @@ class LatticeHHH(HHHAlgorithm):
     def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
         """Vectorized batch update: the packets :meth:`_plan` routes to each node.
 
-        The batch is packed once (:func:`~repro.hh.array_space_saving.pack_keys`)
-        when the hierarchy has packed masks and the keys fit them; each
-        node's group is then masked with one AND on the packed integers.
-        Batches that do not pack are masked with the node's vectorized batch
-        generalizer instead.  Either way duplicate masked keys collapse into
-        one weighted update per distinct key, fed in ascending key order, and
-        the node's version moves.  Random plans draw from the batch RNG, not
-        the per-packet ``random.Random``, so a batch-fed and an update()-fed
-        instance diverge even with equal seeds.  :meth:`update_batch_reference`
-        replays the same semantics with scalar loops and is bit-identical;
-        keys numpy cannot mask take that scalar path here too.
+        An integer batch is packed once (:meth:`_pack`); each node's group is
+        then masked with one AND on the packed integers, duplicate masked
+        keys collapse into one weighted update per distinct key, fed in
+        ascending key order, and the node's version moves.  Random plans
+        draw from the batch RNG, not the per-packet ``random.Random``, so a
+        batch-fed and an update()-fed instance diverge even with equal
+        seeds.  :meth:`update_batch_reference` replays the same semantics
+        with scalar loops and is bit-identical; batches that do not pack
+        (keys numpy cannot hold, hierarchies without a packed mask table)
+        take that scalar path here too.  A batch that cannot be keys of the
+        hierarchy raises :class:`~repro.exceptions.HierarchyError` before any
+        state moves.
         """
         n = len(keys)
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
-        keys_arr = coerce_key_array(keys, n)
+        keys_arr = hierarchy_key_array(keys, self._hierarchy)
+        packed = None if keys_arr is None else self._pack(keys_arr)
         plan = self._plan(n)
         self._total += total_weight
-        if keys_arr is None:
+        if packed is None:
             self._apply_plan_reference(keys, weights_arr, plan)
             return
-        packed = self._pack(keys_arr)
-        batch = keys_arr if packed is None else packed
         for node, rows in plan:
-            group = batch if rows is None else batch[rows]
+            group = packed if rows is None else packed[rows]
             group_weights = weights_arr if rows is None or weights_arr is None else weights_arr[rows]
-            if packed is None:
-                feed_counter(self._counters[node], self._batch_generalizers[node](group), group_weights)
-            else:
-                feed_counter(self._counters[node], group & self._packed_masks[node], group_weights,
-                             packed=True)
+            feed_counter(self._counters[node], group & self._packed_masks[node], group_weights)
             self._versions[node] += 1
 
     def _pack(self, keys_arr: np.ndarray) -> Optional[np.ndarray]:
-        """The batch packed in the domain of the hierarchy's packed masks, or ``None``.
+        """A checked integer batch in the packed key form, or ``None`` without a packed mask table.
 
-        ``pack_keys`` gives int64 for 1-D arrays and uint64 for ``(n, 2)``
-        arrays, so a batch whose shape does not fit the hierarchy (and one
-        whose values do not pack) keeps the unpacked path.
+        Every node mask is a sub-mask of the fully specified node's, so
+        reducing a batch that does not pack as it is to the hierarchy's
+        domain (``key & full`` per dimension, in uint64: the low bits
+        Python's ``index(key) & mask`` keeps, negative keys included) masks
+        to the same key at every node, and then always packs.
         """
-        masks = self._packed_masks
-        if masks is None:
+        if self._packed_masks is None:
             return None
         packed = pack_keys(keys_arr)
-        return packed if packed is not None and packed.dtype == masks.dtype else None
+        return packed if packed is not None else pack_keys(keys_arr.astype(np.uint64) & self._domain)
 
     def update_batch_reference(
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
     ) -> None:
         """Scalar specification of :meth:`update_batch` (pure-Python loops).
 
-        Takes the same plan from the same RNG draws, aggregates each group in
-        a per-key dictionary with the scalar generalizers and feeds it in
-        ascending key order; a same-seed instance fed through either method
-        reaches a bit-identical state.
+        Checks the batch the same way, takes the same plan from the same RNG
+        draws, aggregates each group in a per-key dictionary with the scalar
+        generalizers and feeds it in ascending key order; a same-seed
+        instance fed through either method reaches a bit-identical state.
         """
         n = len(keys)
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
+        hierarchy_key_array(keys, self._hierarchy)
         plan = self._plan(n)
         self._total += total_weight
         self._apply_plan_reference(keys, weights_arr, plan)
@@ -183,16 +186,14 @@ class LatticeHHH(HHHAlgorithm):
     def _apply_plan_reference(
         self, keys: Sequence[Hashable], weights_arr: Optional[np.ndarray], plan: Iterable[PlanGroup]
     ) -> None:
-        """Apply a batch plan with per-key dictionaries and scalar counter feeds."""
+        """Apply a batch plan with the scalar generalizers, dict aggregation and scalar feeds."""
         key_list = list(self._iter_batch_keys(keys))
-        weight_list = weights_arr.tolist() if weights_arr is not None else [1] * len(key_list)
         for node, rows in plan:
             generalize = self._generalizers[node]
-            aggregate: dict = {}
-            for row in range(len(key_list)) if rows is None else rows.tolist():
-                masked = generalize(key_list[row])
-                aggregate[masked] = aggregate.get(masked, 0) + weight_list[row]
-            feed_counter_reference(self._counters[node], sorted_pairs(aggregate))
+            group = key_list if rows is None else map(key_list.__getitem__, rows.tolist())
+            group_weights = weights_arr if rows is None or weights_arr is None else weights_arr[rows]
+            masked, totals = aggregated_arrays(map(generalize, group), group_weights)
+            feed_counter_reference(self._counters[node], list(zip(masked, totals.tolist())))
             self._versions[node] += 1
 
     @abc.abstractmethod

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.api.specs import AlgorithmSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
-from repro.core.batch import check_weight, coerce_key_array, coerce_weights
+from repro.core.batch import check_weight, coerce_key_array, coerce_weights, hierarchy_key_array
 from repro.core.checkpoint import apply_runtime_state, capture_runtime_state
 from repro.core.rhhh import LatticeHHH
 from repro.core.supervise import ShardLoss, ShardSupervisor, SupervisorPolicy
@@ -640,12 +640,14 @@ class ShardedHHH(HHHAlgorithm):
         """Hash-partition the batch and drive every replica's own ``update_batch``.
 
         Each replica sees exactly the sub-stream of keys it owns, in stream
-        order - the property the lockstep suites pin.
+        order - the property the lockstep suites pin.  A batch that cannot be
+        keys of the hierarchy raises before it is partitioned.
         """
         n = len(keys)
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
+        keys_arr = hierarchy_key_array(keys, self._hierarchy)
         jobs = [
             (
                 replica,
@@ -653,7 +655,7 @@ class ShardedHHH(HHHAlgorithm):
                 int(sub_weights.sum()) if sub_weights is not None else len(sub_keys),
             )
             for replica, (sub_keys, sub_weights) in enumerate(
-                partition_batch(keys, weights_arr, self._shards)
+                partition_batch(keys if keys_arr is None else keys_arr, weights_arr, self._shards)
             )
             if len(sub_keys)
         ]

@@ -210,12 +210,6 @@ class ArraySpaceSaving(CounterAlgorithm):
         epsilon: relative error target; ignored when ``capacity`` is given.
     """
 
-    #: ``repro.core.batch.feed_counter`` hands this backend a numeric batch's
-    #: unique keys as an array, which the batch index packs without a
-    #: Python list round-trip; a packed batch's keys go to
-    #: :meth:`update_packed` as they are.
-    AGGREGATED_KEY_ARRAYS = True
-
     def __init__(self, capacity: Optional[int] = None, *, epsilon: Optional[float] = None) -> None:
         super().__init__()
         if capacity is None:
@@ -424,10 +418,10 @@ class ArraySpaceSaving(CounterAlgorithm):
     def update_aggregated(self, keys, weights) -> None:
         """Batch-engine fast path: aggregation output applied verbatim.
 
-        ``keys`` holds distinct keys - a list, or (``AGGREGATED_KEY_ARRAYS``)
-        the 1-D or ``(n, 2)`` unique-key array of
-        :func:`repro.core.batch.unique_key_array` - and ``weights`` the
-        matching positive totals.  The keys are packed and applied by
+        ``keys`` holds distinct keys - a list of keys, or a 1-D or ``(n, 2)``
+        integer key array - and ``weights`` the matching positive totals
+        (the lattice batch core hands its packed keys to
+        :meth:`update_packed` instead).  The keys are packed and applied by
         :meth:`update_packed`, in the same hits-first order as
         :meth:`update_batch`; keys that do not pack take
         :meth:`update_batch_reference`.

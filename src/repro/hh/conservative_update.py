@@ -23,10 +23,6 @@ from repro.hh.count_min import CountMinSketch
 class ConservativeCountMin(CountMinSketch):
     """Count-Min Sketch using the conservative-update rule."""
 
-    #: The batch engine must not hand this backend key arrays: there is no
-    #: vectorized path to hand them to.
-    AGGREGATED_KEY_ARRAYS = False
-
     #: Disable the parent's aggregated fast path; ``feed_counter`` checks the
     #: attribute for ``None`` and falls back to ``update_batch``, which
     #: replays per event to preserve the order-dependent semantics.

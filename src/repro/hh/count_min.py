@@ -62,11 +62,6 @@ class CountMinSketch(CounterAlgorithm):
             experiments are reproducible).
     """
 
-    #: ``repro.core.batch.feed_counter`` hands this backend the batch's
-    #: unique keys as a numpy array (1-D ints or ``(n, 2)`` pairs) instead of
-    #: a Python list, so hashing stays vectorized end to end.
-    AGGREGATED_KEY_ARRAYS = True
-
     #: The hash arrays a merge peer must share (see ``check_same_sketch_family``).
     _HASH_ATTRS: Tuple[str, ...] = ("_a", "_b")
 

@@ -108,24 +108,6 @@ class Hierarchy(abc.ABC):
         """
         return [lambda key, node=node: self.generalize(key, node) for node in range(self.size)]
 
-    def compile_batch_generalizers(self):
-        """Return one batch ``keys -> masked values`` callable per lattice node.
-
-        Each callable receives a whole batch of fully specified keys (a numpy
-        array for the integer-key hierarchies, any sequence otherwise) and
-        returns the masked keys, preferably as a numpy array of the same
-        leading length so the batch engine can aggregate duplicates with
-        ``numpy.unique``.  The default is a scalar loop over
-        :meth:`compile_generalizers`, which returns a plain list; hierarchies
-        whose masking is a bitwise AND override it with vectorized closures.
-        """
-        scalar = self.compile_generalizers()
-
-        def _make(generalize):
-            return lambda keys: [generalize(key) for key in keys]
-
-        return [_make(g) for g in scalar]
-
     def compile_packed_masks(self) -> Optional[np.ndarray]:
         """Return the per-node masks in the packed key domain, or ``None``.
 
@@ -133,9 +115,9 @@ class Hierarchy(abc.ABC):
         (:func:`repro.hh.array_space_saving.pack_keys`: int64 for 1-D keys,
         uint64 ``src << 32 | dst`` for pairs) and generalizes it to lattice
         node ``i`` with one AND against entry ``i`` of this table, whose
-        dtype is the packed dtype the hierarchy's keys take.  The default is
-        ``None``: no packed form, the batch engine keeps the
-        :meth:`compile_batch_generalizers` path.
+        dtype is the packed dtype the hierarchy's keys take.  Entry 0 (the
+        fully specified node) is the hierarchy's whole domain.  The default
+        is ``None``: no packed form, the batch engine takes its scalar twin.
         """
         return None
 

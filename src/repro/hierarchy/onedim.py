@@ -118,16 +118,6 @@ class OneDimHierarchy(Hierarchy):
         """
         return [lambda key, mask=mask: index(key) & mask for mask in self._masks]
 
-    def compile_batch_generalizers(self):
-        """Vectorized per-node masking over whole key arrays.
-
-        Falls back to the scalar loop for domains wider than 63 bits (IPv6),
-        whose masks do not fit in a signed numpy integer.
-        """
-        if self._total_bits > 63:
-            return super().compile_batch_generalizers()
-        return [lambda keys, mask=mask: np.bitwise_and(keys, mask) for mask in self._masks]
-
     def compile_packed_masks(self) -> Optional[np.ndarray]:
         """The per-node masks as int64, the packed form of 1-D keys; ``None`` past 63 bits."""
         if self._total_bits > 63:

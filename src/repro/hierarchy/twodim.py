@@ -135,21 +135,18 @@ class TwoDimHierarchy(Hierarchy):
         return generalizers
 
     def compile_batch_generalizers(self):
-        """Vectorized per-node masking over ``(batch, 2)`` key arrays.
+        """Vectorized per-node masking over ``(batch, 2)`` int64 key arrays.
 
-        Falls back to the scalar loop when either dimension is wider than 63
-        bits, whose masks do not fit in a signed numpy integer.
+        Each closure ANDs a whole batch with the node's ``(src, dst)`` mask
+        pair; both dimensions must fit a signed 64-bit integer.
         """
-        if self._src.total_bits > 63 or self._dst.total_bits > 63:
-            return super().compile_batch_generalizers()
         src_masks = self._src.masks()
         dst_masks = self._dst.masks()
-        generalizers = []
-        for node in range(self.size):
-            i, j = self.decode(node)
-            mask = np.array([src_masks[i], dst_masks[j]], dtype=np.int64)
-            generalizers.append(lambda keys, mask=mask: np.bitwise_and(keys, mask))
-        return generalizers
+        masks = [
+            np.array([src_masks[i], dst_masks[j]], dtype=np.int64)
+            for i, j in map(self.decode, range(self.size))
+        ]
+        return [lambda keys, mask=mask: np.bitwise_and(keys, mask) for mask in masks]
 
     def compile_packed_masks(self) -> Optional[np.ndarray]:
         """The per-node masks as uint64 ``src_mask << 32 | dst_mask``, the packed form of pairs.

@@ -6,68 +6,71 @@ import numpy as np
 import pytest
 
 from repro.core.batch import (
-    aggregate_masked,
     aggregated_arrays,
     coerce_key_array,
     coerce_weights,
     feed_counter,
     group_by_node,
+    hierarchy_key_array,
     sorted_pairs,
+    unique_key_array,
 )
-from repro.exceptions import ConfigurationError
-from repro.hh.array_space_saving import ArraySpaceSaving
+from repro.exceptions import ConfigurationError, HierarchyError
+from repro.hh.array_space_saving import ArraySpaceSaving, pack_keys, unpack_keys
 from repro.hh.space_saving import SpaceSaving
+from repro.hierarchy.onedim import ipv4_byte_hierarchy
+from repro.hierarchy.twodim import ipv4_two_dim_byte_hierarchy
 
 
-class TestAggregateMasked:
+class TestAggregation:
+    """The packed aggregation (``unique_key_array``) and its dict twin (``aggregated_arrays``)."""
+
     def test_1d_unweighted_counts_duplicates(self):
-        pairs = list(aggregate_masked(np.asarray([5, 3, 5, 5, 3, 9]), None))
-        assert pairs == [(3, 2), (5, 3), (9, 1)]
+        unique, totals = unique_key_array(np.asarray([5, 3, 5, 5, 3, 9], dtype=np.int64), None)
+        assert (unique.tolist(), totals.tolist()) == ([3, 5, 9], [2, 3, 1])
+        keys, totals = aggregated_arrays([5, 3, 5, 5, 3, 9], None)
+        assert (keys, totals.tolist()) == ([3, 5, 9], [2, 3, 1])
 
     def test_1d_weighted_totals(self):
-        masked = np.asarray([4, 2, 4])
         weights = np.asarray([10, 1, 5])
-        assert list(aggregate_masked(masked, weights)) == [(2, 1), (4, 15)]
+        unique, totals = unique_key_array(np.asarray([4, 2, 4], dtype=np.int64), weights)
+        assert (unique.tolist(), totals.tolist()) == ([2, 4], [1, 15])
+        keys, totals = aggregated_arrays([4, 2, 4], weights)
+        assert (keys, totals.tolist()) == ([2, 4], [1, 15])
 
-    def test_2d_packs_into_uint64_and_orders_lexicographically(self):
-        masked = np.asarray([[2, 9], [1, 5], [2, 1], [1, 5]], dtype=np.int64)
-        pairs = list(aggregate_masked(masked, None))
-        assert pairs == [((1, 5), 2), ((2, 1), 1), ((2, 9), 1)]
+    def test_packed_pairs_order_lexicographically(self):
+        # Packed uint64 order is the lexicographic pair order the dict twin sorts by.
+        pairs = np.asarray([[2, 9], [1, 5], [2, 1], [1, 5], [0, 2**32 - 1]], dtype=np.int64)
+        unique, totals = unique_key_array(pack_keys(pairs), None)
+        expected = [(0, 2**32 - 1), (1, 5), (2, 1), (2, 9)]
+        assert unpack_keys(unique) == expected and totals.tolist() == [1, 2, 1, 1]
+        keys, totals = aggregated_arrays([tuple(row) for row in pairs.tolist()], None)
+        assert keys == expected and totals.tolist() == [1, 2, 1, 1]
 
-    def test_2d_negative_keys_use_structured_sort_fallback(self):
-        # Negative components cannot pack into the uint64 fast path; the
-        # structured row sort must still aggregate and order correctly.
-        masked = np.asarray([[-2, 9], [1, -5], [-2, 9], [1, 4]], dtype=np.int64)
-        pairs = list(aggregate_masked(masked, None))
-        assert pairs == [((-2, 9), 2), ((1, -5), 1), ((1, 4), 1)]
+    def test_plain_list_sorts(self):
+        keys, totals = aggregated_arrays([7, 1, 7, 2], None)
+        assert list(zip(keys, totals.tolist())) == [(1, 1), (2, 1), (7, 2)]
 
-    def test_2d_overlarge_keys_use_structured_sort_fallback(self):
-        masked = np.asarray([[1 << 40, 0], [1, 2], [1 << 40, 0]], dtype=np.int64)
-        pairs = list(aggregate_masked(masked, None))
-        assert pairs == [((1, 2), 1), ((1 << 40, 0), 2)]
+    def test_empty(self):
+        unique, totals = unique_key_array(np.empty(0, dtype=np.uint64), None)
+        assert unique.size == 0 and totals.size == 0
+        keys, totals = aggregated_arrays([], None)
+        assert keys == [] and totals.size == 0
 
-    def test_2d_weighted_negative_keys(self):
-        masked = np.asarray([[-1, 0], [3, 3], [-1, 0]], dtype=np.int64)
-        weights = np.asarray([2, 7, 4])
-        assert list(aggregate_masked(masked, weights)) == [((-1, 0), 6), ((3, 3), 7)]
-
-    def test_plain_list_fallback_sorts(self):
-        assert list(aggregate_masked([7, 1, 7, 2], None)) == [(1, 1), (2, 1), (7, 2)]
-
-    def test_empty_arrays(self):
-        assert list(aggregate_masked(np.empty((0, 2), dtype=np.int64), None)) == []
-        assert list(aggregate_masked(np.empty(0, dtype=np.int64), None)) == []
-
-    def test_aggregated_arrays_returns_int64_totals(self):
-        keys, totals = aggregated_arrays(np.asarray([1, 1, 2]), None)
-        assert keys == [1, 2]
-        assert totals.dtype == np.int64
-        assert totals.tolist() == [2, 1]
+    def test_totals_are_int64(self):
+        for _unique, totals in (
+            unique_key_array(np.asarray([1, 1, 2], dtype=np.int64), None),
+            unique_key_array(np.asarray([1, 1, 2], dtype=np.int64), np.asarray([1, 2, 3])),
+            aggregated_arrays([1, 1, 2], None),
+        ):
+            assert totals.dtype == np.int64
 
     def test_weighted_totals_past_2_53_are_exact(self):
-        masked = np.asarray([5, 5, 5, 2])
         weights = np.asarray([2**53 + 1, 1, 2, 7])
-        assert list(aggregate_masked(masked, weights)) == [(2, 7), (5, 2**53 + 4)]
+        unique, totals = unique_key_array(np.asarray([5, 5, 5, 2], dtype=np.int64), weights)
+        assert (unique.tolist(), totals.tolist()) == ([2, 5], [7, 2**53 + 4])
+        keys, totals = aggregated_arrays([5, 5, 5, 2], weights)
+        assert (keys, totals.tolist()) == ([2, 5], [7, 2**53 + 4])
 
 
 class TestCoercion:
@@ -83,6 +86,15 @@ class TestCoercion:
         assert coerce_key_array([object(), object()], 2) is None
         assert coerce_key_array([1 << 80, 2], 2) is None
         assert coerce_key_array([(1, 2), (3,)], 2) is None  # ragged
+
+    def test_hierarchy_key_array_checks_dtype_and_shape(self):
+        one, two = ipv4_byte_hierarchy(), ipv4_two_dim_byte_hierarchy()
+        assert hierarchy_key_array([1, 2], one).tolist() == [1, 2]
+        assert hierarchy_key_array([(1, 2)], two).tolist() == [[1, 2]]
+        assert hierarchy_key_array([object()], one) is None
+        for keys, hierarchy in (([(1, 2)], one), ([1, 2], two), ([(1, 2, 3)], two), ([1.5], one)):
+            with pytest.raises(HierarchyError):
+                hierarchy_key_array(keys, hierarchy)
 
     def test_coerce_weights_defaults_to_unit(self):
         weights, total = coerce_weights(None, 7)
@@ -122,8 +134,8 @@ class TestGroupByNode:
 
 
 class TestFeedCounter:
-    def test_uses_update_aggregated_when_available(self):
-        masked = np.asarray([3, 3, 1, 9])
+    def test_array_and_linked_space_saving_agree(self):
+        masked = np.asarray([3, 3, 1, 9], dtype=np.int64)
         fast = ArraySpaceSaving(capacity=4)
         generic = SpaceSaving(capacity=4)
         feed_counter(fast, masked, None)
@@ -138,7 +150,7 @@ class TestFeedCounter:
             def update_batch(self, items):
                 seen.extend(items)
 
-        feed_counter(Recorder(), np.asarray([5, 5, 2]), np.asarray([1, 2, 4]))
+        feed_counter(Recorder(), np.asarray([5, 5, 2], dtype=np.int64), np.asarray([1, 2, 4]))
         assert seen == [(2, 4), (5, 3)]
         assert all(isinstance(w, int) for _key, w in seen)
 
@@ -153,8 +165,6 @@ class TestFeedCounter:
                 seen["packed"] = (keys.dtype, keys.tolist(), totals.tolist())
 
         class Arrays:
-            AGGREGATED_KEY_ARRAYS = True
-
             def update_aggregated(self, keys, totals):
                 seen["arrays"] = (keys.tolist(), totals.tolist())
 
@@ -163,7 +173,7 @@ class TestFeedCounter:
                 seen["pairs"] = list(items)
 
         for counter in (Packed(), Arrays(), Pairs()):
-            feed_counter(counter, masked, None, packed=True)
+            feed_counter(counter, masked, None)
         assert seen == {
             "packed": (np.dtype(np.uint64), [2 << 32 | 7, 5 << 32 | 1], [1, 2]),
             "arrays": ([[2, 7], [5, 1]], [1, 2]),

@@ -1,13 +1,17 @@
 """Differential suite of the packed lattice feed.
 
-``LatticeHHH.update_batch`` packs a numeric batch once (int64 for 1-D keys,
-uint64 ``src << 32 | dst`` for pairs), masks each node's group with one AND
-against the hierarchy's packed mask table, aggregates it with a 1-D
-``np.unique`` and hands the packed unique keys to the counter.  Batches that
-do not pack keep the unpacked ``(n, 2)``/1-D path.  Either way the state must
-be bit-identical to the scalar twin ``update_batch_reference``: every
-hierarchy, lattice algorithm, registered counter and weight kind below, and
-the fallback cases that must not take the packed path.
+``LatticeHHH.update_batch`` packs an integer batch once (int64 for 1-D keys,
+uint64 ``src << 32 | dst`` for pairs), reducing it to the hierarchy's domain
+first when it does not pack as it is (negative keys, components past the
+hierarchy's width); it masks each node's group with one AND against the
+hierarchy's packed mask table, aggregates it with a 1-D ``np.unique`` and
+hands the packed unique keys to the counter.  Keys numpy cannot hold and
+hierarchies without a packed mask table take the scalar twin
+``update_batch_reference``.  Either way the state must be bit-identical to
+that twin: every hierarchy, lattice algorithm, registered counter and weight
+kind below, and the out-of-domain keys that pack only after the domain
+reduction.  Batches that cannot be keys of the hierarchy are refused before
+any state moves, by both twins and by the sharded engine.
 """
 
 from __future__ import annotations
@@ -18,11 +22,14 @@ import numpy as np
 import pytest
 
 from repro.api.registry import counter_names
+from repro.api.specs import AlgorithmSpec
 from repro.core import rhhh
 from repro.core.rhhh import RHHH
+from repro.core.shard import ShardedHHH
+from repro.exceptions import HierarchyError
 from repro.hhh.mst import MST
 from repro.hhh.sampled_mst import SampledMST
-from repro.hierarchy.onedim import ipv4_bit_hierarchy, ipv4_byte_hierarchy
+from repro.hierarchy.onedim import ipv4_bit_hierarchy, ipv4_byte_hierarchy, ipv6_byte_hierarchy
 from repro.hierarchy.twodim import ipv4_two_dim_byte_hierarchy
 from repro.traffic.caida_like import named_workload
 
@@ -86,14 +93,13 @@ def _state(algorithm):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """The dtype of every node group the lattice core feeds packed."""
+    """The dtype of every node group the lattice core feeds (always packed)."""
     calls = []
     original = rhhh.feed_counter
 
-    def spy(counter, masked, weights, *, packed=False):
-        if packed:
-            calls.append(masked.dtype)
-        original(counter, masked, weights, packed=packed)
+    def spy(counter, packed, weights):
+        calls.append(packed.dtype)
+        original(counter, packed, weights)
 
     monkeypatch.setattr(rhhh, "feed_counter", spy)
     return calls
@@ -130,27 +136,52 @@ class TestPackedPathRuns:
         assert int(masks[0]) == (1 << 64) - 1 and int(masks[-1]) == 0
 
 
-class TestFallbacks:
-    """Batches that do not pack keep the unpacked path, with the same state."""
+OUT_OF_DOMAIN_TWINS = [
+    (algorithm, counter)
+    for algorithm in ("rhhh", "mst")
+    for counter in ("array_space_saving", "space_saving", "count_min", "misra_gries")
+]
 
-    def _check(self, hierarchy, keys, packed_calls, *, packs):
-        fast, reference = _twins(hierarchy)
+
+@pytest.mark.parametrize("algorithm, counter", OUT_OF_DOMAIN_TWINS)
+class TestOutOfDomainKeys:
+    """Keys past the hierarchy's domain take the packed path, with the twin's state.
+
+    Reducing them to the domain keeps the low bits Python's ``key & mask``
+    keeps, so every node masks them to the scalar twin's key.
+    """
+
+    def _check(self, hierarchy, keys, packed_calls, algorithm, counter):
+        fast, reference = _twins(hierarchy, algorithm, counter)
         fast.update_batch(keys)
         reference.update_batch_reference(keys)
         assert _state(fast) == _state(reference)
-        assert bool(packed_calls) == packs
+        assert packed_calls
 
-    def test_pair_component_past_32_bits(self, packed_calls):
+    def test_pair_component_past_32_bits(self, packed_calls, algorithm, counter):
         keys = _stream("2d-bytes")[:CHUNK].copy()
         keys[7, 0] = (1 << 32) + 5
-        self._check(ipv4_two_dim_byte_hierarchy(), keys, packed_calls, packs=False)
+        self._check(ipv4_two_dim_byte_hierarchy(), keys, packed_calls, algorithm, counter)
+
+    def test_uint64_pair_component_past_32_bits(self, packed_calls, algorithm, counter):
+        keys = _stream("2d-bytes")[:CHUNK].astype(np.uint64)
+        keys[7, 1] = (1 << 40) + 9
+        keys[8, 0] = (1 << 64) - 1
+        self._check(ipv4_two_dim_byte_hierarchy(), keys, packed_calls, algorithm, counter)
 
     @pytest.mark.parametrize("hierarchy", ["1d-bytes", "2d-bytes"])
-    def test_negative_key(self, hierarchy, packed_calls):
+    def test_negative_key(self, hierarchy, packed_calls, algorithm, counter):
         keys = _stream(hierarchy)[:CHUNK].copy()
         keys[3] = -9
-        self._check(HIERARCHIES[hierarchy](), keys, packed_calls, packs=False)
+        self._check(HIERARCHIES[hierarchy](), keys, packed_calls, algorithm, counter)
 
+    def test_uint64_keys_past_63_bits(self, packed_calls, algorithm, counter):
+        keys = _stream("1d-bytes")[:CHUNK].astype(np.uint64)
+        keys[11] = (1 << 63) + 17
+        self._check(ipv4_byte_hierarchy(), keys, packed_calls, algorithm, counter)
+
+
+class TestPackedKeyForms:
     def test_uint64_keys_on_a_1d_hierarchy_stay_1d(self, packed_calls):
         keys = _stream("1d-bytes")[:CHUNK]
         as_uint, as_int = _twins(ipv4_byte_hierarchy())
@@ -158,12 +189,13 @@ class TestFallbacks:
         as_int.update_batch(keys)
         assert _state(as_uint) == _state(as_int)
         assert set(packed_calls) == {np.dtype(np.int64)}
-        self._check(ipv4_byte_hierarchy(), keys.astype(np.uint64), packed_calls, packs=True)
 
-    def test_uint64_keys_past_63_bits(self, packed_calls):
-        keys = _stream("1d-bytes")[:CHUNK].astype(np.uint64)
-        keys[11] = (1 << 63) + 17
-        self._check(ipv4_byte_hierarchy(), keys, packed_calls, packs=False)
+    def test_out_of_domain_pairs_mask_like_their_in_domain_twins(self):
+        keys = _stream("2d-bytes")[:CHUNK]
+        wide, narrow = _twins(ipv4_two_dim_byte_hierarchy())
+        wide.update_batch(keys.astype(np.uint64) | np.uint64(0xFFFF_FFFF_0000_0000))
+        narrow.update_batch(keys)
+        assert _state(wide) == _state(narrow)
 
     def test_array_node_filled_by_scalar_updates_then_packed_batch(self, packed_calls):
         keys = _stream("2d-bytes")
@@ -177,3 +209,63 @@ class TestFallbacks:
         assert packed_calls
         assert all(fast.node_counter(node)._packed is not None for node in range(fast.hierarchy.size))
         assert _state(fast) == _state(reference)
+
+
+class TestReferenceRoute:
+    """Keys numpy cannot hold, and hierarchies without a packed table, take the scalar twin."""
+
+    @pytest.mark.parametrize("counter", ["array_space_saving", "space_saving", "count_min"])
+    def test_ipv6_keys_past_64_bits(self, counter, packed_calls):
+        base = (0x2001_0DB8 << 96) + (7 << 64)
+        keys = [base + (i % 37) * 0x1_0000 + i % 5 for i in range(300)]
+        fast, reference = _twins(ipv6_byte_hierarchy(), "rhhh", counter)
+        fast.update_batch(keys)
+        reference.update_batch_reference(keys)
+        assert _state(fast) == _state(reference)
+        assert fast.total == 300 and not packed_calls
+
+    def test_ipv6_keys_that_fit_int64_still_take_the_twin(self, packed_calls):
+        keys = _stream("1d-bytes")[:CHUNK]
+        fast, reference = _twins(ipv6_byte_hierarchy(), "mst")
+        fast.update_batch(keys)
+        reference.update_batch_reference(keys)
+        assert _state(fast) == _state(reference)
+        assert not packed_calls
+
+
+def _refused_batches():
+    pairs = _stream("2d-bytes")[:CHUNK]
+    return [
+        pytest.param("1d-bytes", pairs, id="pairs-on-1d"),
+        pytest.param("1d-bytes", [tuple(row) for row in pairs[:50].tolist()], id="pair-list-on-1d"),
+        pytest.param("2d-bytes", pairs[:, 0], id="scalars-on-2d"),
+        pytest.param("2d-bytes", np.hstack([pairs, pairs[:, :1]]), id="triples-on-2d"),
+        pytest.param("1d-bytes", pairs[:, 0].astype(np.float64), id="float-1d"),
+        pytest.param("2d-bytes", pairs.astype(np.float64), id="float-2d"),
+        pytest.param("1d-bytes", np.asarray(["10.0.0.1", "10.0.0.2"]), id="strings"),
+    ]
+
+
+class TestRefusedBatches:
+    """A batch that cannot be keys of the hierarchy raises before any state moves."""
+
+    @pytest.mark.parametrize("path", ["update_batch", "update_batch_reference"])
+    @pytest.mark.parametrize("hierarchy, keys", _refused_batches())
+    def test_lattice_twins_refuse_without_moving_state(self, hierarchy, keys, path):
+        algorithm = ALGORITHMS["rhhh"](HIERARCHIES[hierarchy](), "array_space_saving")
+        algorithm.update_batch(_stream(hierarchy)[:CHUNK])
+        before = _state(algorithm)
+        with pytest.raises(HierarchyError, match="integer keys"):
+            getattr(algorithm, path)(keys)
+        assert _state(algorithm) == before
+
+    @pytest.mark.parametrize("hierarchy, keys", _refused_batches())
+    def test_sharded_engine_refuses_before_partitioning(self, hierarchy, keys):
+        spec = AlgorithmSpec(name="rhhh", epsilon=EPSILON, delta=0.1, seed=5)
+        engine = ShardedHHH(spec, hierarchy, 2, parallel=False)
+        engine.update_batch(_stream(hierarchy)[:CHUNK])
+        total = engine.total
+        with pytest.raises(HierarchyError, match="integer keys"):
+            engine.update_batch(keys)
+        assert engine.total == total
+        assert sum(engine.shard_algorithm(shard).total for shard in range(2)) == total

@@ -324,7 +324,7 @@ class TestEngineValidation:
         engine = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
         keys = named_workload("chicago16", num_flows=200).key_batches(4_000, batch_size=1_000)
         for batch in keys:
-            engine.update_batch(batch)
+            engine.update_batch(batch[:, 0])
         assert engine.total == 4_000
         assert engine.output(0.3).candidates is not None
 

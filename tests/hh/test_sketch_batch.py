@@ -11,8 +11,9 @@ total, and the tracked dictionary *including its insertion order* - across:
 * the vector path vs the scalar twin, on zipf / DDoS / maximum-churn
   (all-distinct keys, the eviction-storm regime) streams, with 1-D and
   packed 2-D keys, unit and weighted batches;
-* the array-native ``feed_counter`` route (``AGGREGATED_KEY_ARRAYS``) vs the
-  scalar ``feed_counter_reference`` route used by the lattice references;
+* the packed ``feed_counter`` route (unique keys unpacked into arrays for
+  ``update_aggregated``) vs the scalar ``feed_counter_reference`` route used
+  by the lattice references;
 * same-seed RHHH instances fed ``update_batch`` vs ``update_batch_reference``
   with sketch counters per node;
 * merge-after-batch vs a single-pass sketch (table linearity);
@@ -38,6 +39,7 @@ from repro.core.rhhh import RHHH
 from repro.core.shard import ShardedHHH
 from repro.api.registry import make_hierarchy
 from repro.api.specs import AlgorithmSpec, CounterSpec
+from repro.hh.array_space_saving import pack_keys, unpack_key_array
 from repro.hh.conservative_update import ConservativeCountMin
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
@@ -189,8 +191,7 @@ class TestSketchBatchTwinParity:
         arr = STREAMS[stream](2000)
         masked = arr[:, 0].copy() if dims == "1d" else arr
         fast, ref = _make(cls), _make(cls)
-        assert cls.AGGREGATED_KEY_ARRAYS
-        feed_counter(fast, masked, None)
+        feed_counter(fast, pack_keys(masked), None)
         keys = [int(v) for v in masked] if dims == "1d" else [(int(a), int(b)) for a, b in masked]
         feed_counter_reference(ref, _aggregate(keys))
         assert _state(fast) == _state(ref)
@@ -200,10 +201,9 @@ class TestSketchBatchTwinParity:
         arr = _zipf_2d(1000)
         for masked in (arr, arr[:, 0].copy()):
             weights = np.random.default_rng(1).integers(1, 5, size=len(masked))
-            unique, totals = unique_key_array(masked, weights)
-            list_keys, list_totals = aggregated_arrays(masked, weights)
-            assert unique is not None
-            assert key_objects(unique) == list_keys
+            unique, totals = unique_key_array(pack_keys(masked), weights)
+            list_keys, list_totals = aggregated_arrays(key_objects(masked), weights)
+            assert key_objects(unpack_key_array(unique)) == list_keys
             assert totals.tolist() == list_totals.tolist()
 
     def test_duplicate_keys_replay_per_event(self, cls):
@@ -261,7 +261,6 @@ class TestConservativeCountMinStaysPerEvent:
 
     def test_opts_out_of_the_aggregated_fast_path(self):
         assert ConservativeCountMin.update_aggregated is None
-        assert ConservativeCountMin.AGGREGATED_KEY_ARRAYS is False
 
     def test_update_batch_reference_and_sequential_agree(self):
         keys = _stream_keys("zipf", "1d", 800)
@@ -279,7 +278,7 @@ class TestConservativeCountMinStaysPerEvent:
         arr = _zipf_2d(500)[:, 0].copy()
         fed = ConservativeCountMin(epsilon=0.02, delta=0.05, seed=11, track=32)
         ref = ConservativeCountMin(epsilon=0.02, delta=0.05, seed=11, track=32)
-        feed_counter(fed, arr, None)
+        feed_counter(fed, pack_keys(arr), None)
         feed_counter_reference(ref, _aggregate([int(v) for v in arr]))
         assert _state(fed) == _state(ref)
 
