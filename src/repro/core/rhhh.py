@@ -55,7 +55,7 @@ from repro.core.output import (
     prepare_counter_factory,
     validate_theta,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, HierarchyError
 from repro.hh.array_space_saving import pack_keys
 from repro.hh.base import DEFAULT_COUNTER, CounterAlgorithm
 from repro.hierarchy.base import Hierarchy
@@ -97,6 +97,9 @@ class LatticeHHH(HHHAlgorithm):
             full = int(self._packed_masks[0])
             pair = self._packed_masks.dtype == np.uint64
             self._domain = np.array([full >> 32, full & 0xFFFFFFFF] if pair else full, dtype=np.uint64)
+            # pack_keys admits pair halves below 2**32 and 1-D keys below
+            # 2**63: a domain that wide needs no AND after packing.
+            self._packed_domain = None if full == (1 << (64 if pair else 63)) - 1 else self._packed_masks[0]
         #: Per-lattice-node update counters: every counter update bumps its
         #: node.  In-process replicas hand them to the merger as merge
         #: signatures (an unchanged stamp means an unchanged node).
@@ -120,18 +123,16 @@ class LatticeHHH(HHHAlgorithm):
     def update_batch(self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None) -> None:
         """Vectorized batch update: the packets :meth:`_plan` routes to each node.
 
-        An integer batch is packed once (:meth:`_pack`); each node's group is
-        then masked with one AND on the packed integers, duplicate masked
-        keys collapse into one weighted update per distinct key, fed in
-        ascending key order, and the node's version moves.  Random plans
-        draw from the batch RNG, not the per-packet ``random.Random``, so a
-        batch-fed and an update()-fed instance diverge even with equal
-        seeds.  :meth:`update_batch_reference` replays the same semantics
-        with scalar loops and is bit-identical; batches that do not pack
-        (keys numpy cannot hold, hierarchies without a packed mask table)
-        take that scalar path here too.  A batch that cannot be keys of the
-        hierarchy raises :class:`~repro.exceptions.HierarchyError` before any
-        state moves.
+        An integer batch is packed once (:meth:`_pack`) and applied by
+        :meth:`update_packed`.  Random plans draw from the batch RNG, not the
+        per-packet ``random.Random``, so a batch-fed and an update()-fed
+        instance diverge even with equal seeds.
+        :meth:`update_batch_reference` replays the same semantics with
+        scalar loops and is bit-identical; batches that do not pack (keys
+        numpy cannot hold, hierarchies without a packed mask table) take that
+        scalar path here too.  A batch that cannot be keys of the hierarchy
+        raises :class:`~repro.exceptions.HierarchyError` before any state
+        moves.
         """
         n = len(keys)
         if n == 0:
@@ -139,11 +140,32 @@ class LatticeHHH(HHHAlgorithm):
         weights_arr, total_weight = coerce_weights(weights, n)
         keys_arr = hierarchy_key_array(keys, self._hierarchy)
         packed = None if keys_arr is None else self._pack(keys_arr)
+        if packed is not None:
+            self.update_packed(packed, weights_arr)
+            return
         plan = self._plan(n)
         self._total += total_weight
-        if packed is None:
-            self._apply_plan_reference(keys, weights_arr, plan)
+        self._apply_plan_reference(keys, weights_arr, plan)
+
+    def update_packed(self, packed: np.ndarray, weights: Optional[Sequence[int]] = None) -> None:
+        """:meth:`update_batch` for a batch already in the packed key form :meth:`_pack` returns.
+
+        Each node's group is masked with one AND on the packed integers,
+        duplicate masked keys collapse into one weighted update per distinct
+        key, fed in ascending key order, and the node's version moves.  The
+        sharded driver packs a batch once and ships each replica its packed
+        part, so a replica neither checks nor packs it again.
+        """
+        n = len(packed)
+        if n == 0:
             return
+        if self._packed_masks is None or packed.dtype != self._packed_masks.dtype:
+            raise HierarchyError(
+                f"{self._hierarchy.name} has no packed key form of dtype {packed.dtype}"
+            )
+        weights_arr, total_weight = coerce_weights(weights, n)
+        plan = self._plan(n)
+        self._total += total_weight
         for node, rows in plan:
             group = packed if rows is None else packed[rows]
             group_weights = weights_arr if rows is None or weights_arr is None else weights_arr[rows]
@@ -153,16 +175,22 @@ class LatticeHHH(HHHAlgorithm):
     def _pack(self, keys_arr: np.ndarray) -> Optional[np.ndarray]:
         """A checked integer batch in the packed key form, or ``None`` without a packed mask table.
 
-        Every node mask is a sub-mask of the fully specified node's, so
-        reducing a batch that does not pack as it is to the hierarchy's
-        domain (``key & full`` per dimension, in uint64: the low bits
-        Python's ``index(key) & mask`` keeps, negative keys included) masks
-        to the same key at every node, and then always packs.
+        The packed keys are reduced to the hierarchy's domain (``key & full``
+        per dimension: the low bits Python's ``index(key) & mask`` keeps,
+        negative keys included).  Every node mask is a sub-mask of the fully
+        specified node's, so a reduced key masks to the same key at every
+        node, and keys that reduce alike are one key to the shard router
+        too.  A batch that packs as it is is reduced with one AND on the
+        packed keys (none when the domain spans every key that packs); any
+        other is reduced per dimension in uint64 first, and then always
+        packs.
         """
         if self._packed_masks is None:
             return None
         packed = pack_keys(keys_arr)
-        return packed if packed is not None else pack_keys(keys_arr.astype(np.uint64) & self._domain)
+        if packed is None:
+            return pack_keys(keys_arr.astype(np.uint64) & self._domain)
+        return packed if self._packed_domain is None else packed & self._packed_domain
 
     def update_batch_reference(
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None

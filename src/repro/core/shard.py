@@ -6,8 +6,10 @@ lattice node) and answers queries from the merge of the replica summaries.
 The driver owns what every deployment shares:
 
 * :func:`partition_batch` routes every key to exactly one replica
-  (multiplicative hashing on the packed key, :func:`shard_of_key` being its
-  scalar twin), keeping stream order within each part;
+  (multiplicative hashing, :func:`shard_of_key` being its scalar twin),
+  keeping stream order within each part.  The driver packs an integer batch
+  once, reduced to the hierarchy's domain, routes the packed keys and ships
+  each replica its packed part, so keys that reduce alike share a replica;
 * the batch clock, at which fault-plan ``kill``/``delay`` events fire;
 * the loss ledger: the weight dispatched to each replica, of which whatever
   no replica state accounts for becomes a
@@ -95,39 +97,58 @@ def per_shard_algorithm_spec(spec: AlgorithmSpec, seed: Optional[int], shards: i
 # --------------------------------------------------------------------------- #
 
 
-def shard_of_key(key: Hashable, shards: int) -> int:
+def shard_of_key(key: Hashable, shards: int, domain: Optional[Tuple[int, ...]] = None) -> int:
     """Shard owning ``key`` - the scalar twin of :func:`shard_assignments`.
 
-    Integer and integer-pair keys use the same multiplicative mix as the
-    vectorized path (modulo ``2**64``), so a key is routed identically
-    whether it arrives through ``update`` or inside a numpy batch; other key
-    types fall back to Python ``hash`` (deterministic per process family
-    only for types unaffected by hash randomization, which covers the ints
-    and int tuples the hierarchies emit).
+    ``domain`` is the hierarchy's full mask per dimension.  With it, an
+    integer key (one dimension) or integer pair (two) is reduced to ``key &
+    full`` per dimension before mixing, so keys outside the domain that mask
+    to the same key share a shard, as on the driver's packed batch route;
+    in-domain keys are their own reduction.  Integer and integer-pair keys
+    use the same multiplicative mix as the vectorized path (modulo
+    ``2**64``), so a key is routed identically whether it arrives through
+    ``update`` or inside a numpy batch; other key types fall back to Python
+    ``hash`` (deterministic per process family only for types unaffected by
+    hash randomization, which covers the ints and int tuples the
+    hierarchies emit).
     """
     if isinstance(key, tuple) and len(key) == 2:
         src, dst = key
         if isinstance(src, (int, np.integer)) and isinstance(dst, (int, np.integer)):
-            mixed = ((int(src) * _GOLDEN_SRC) & _MASK64) ^ ((int(dst) * _GOLDEN_DST) & _MASK64)
+            src, dst = int(src), int(dst)
+            if domain is not None and len(domain) == 2:
+                src, dst = src & domain[0], dst & domain[1]
+            mixed = ((src * _GOLDEN_SRC) & _MASK64) ^ ((dst * _GOLDEN_DST) & _MASK64)
             return (mixed >> _MIX_SHIFT) % shards
     if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
-        return (((int(key) * _GOLDEN_SRC) & _MASK64) >> _MIX_SHIFT) % shards
+        key = int(key)
+        if domain is not None and len(domain) == 1:
+            key &= domain[0]
+        return (((key * _GOLDEN_SRC) & _MASK64) >> _MIX_SHIFT) % shards
     return hash(key) % shards
 
 
-def shard_assignments(keys: Sequence, shards: int) -> Optional[np.ndarray]:
+def shard_assignments(keys: Sequence, shards: int, *, pairs: bool = False) -> Optional[np.ndarray]:
     """Per-packet shard ids for a key batch, or ``None`` for non-numeric keys.
 
     Vectorized multiplicative hashing over the batch: 1-D integer arrays mix
     each key, ``(n, 2)`` arrays mix source and destination with different
-    odd constants.  Identical keys always land in the same shard, which is
-    what makes the shard summaries key-disjoint and the ``disjoint=True``
-    merge reduction valid.
+    odd constants.  ``pairs=True`` reads a 1-D uint64 array as packed pairs
+    (``src << 32 | dst``, the form
+    :func:`~repro.hh.array_space_saving.pack_keys` gives) and mixes its two
+    halves the same way, so a packed pair lands where its ``(n, 2)`` row
+    does.  Identical keys always land in the same shard, which is what makes
+    the shard summaries key-disjoint and the ``disjoint=True`` merge
+    reduction valid.
     """
     arr = coerce_key_array(keys, len(keys))
     if arr is None or arr.dtype.kind not in "iu":
         return None
-    if arr.ndim == 1:
+    if pairs:
+        mixed = ((arr >> np.uint64(32)) * np.uint64(_GOLDEN_SRC)) ^ (
+            (arr & np.uint64(0xFFFFFFFF)) * np.uint64(_GOLDEN_DST)
+        )
+    elif arr.ndim == 1:
         mixed = arr.astype(np.uint64) * np.uint64(_GOLDEN_SRC)
     elif arr.ndim == 2 and arr.shape[1] == 2:
         mixed = (arr[:, 0].astype(np.uint64) * np.uint64(_GOLDEN_SRC)) ^ (
@@ -135,29 +156,40 @@ def shard_assignments(keys: Sequence, shards: int) -> Optional[np.ndarray]:
         )
     else:
         return None
-    return ((mixed >> np.uint64(_MIX_SHIFT)) % np.uint64(shards)).astype(np.int64)
+    # The kept 31 bits fit uint32, whose modulo is several times cheaper.
+    return ((mixed >> np.uint64(_MIX_SHIFT)).astype(np.uint32) % np.uint32(shards)).astype(np.int64)
 
 
 def partition_batch(
-    keys: Sequence, weights: Optional[np.ndarray], parts: int
+    keys: Sequence,
+    weights: Optional[np.ndarray],
+    parts: int,
+    *,
+    pairs: bool = False,
+    domain: Optional[Tuple[int, ...]] = None,
 ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
     """Split a key batch into one ``(keys, weights)`` sub-batch per part.
 
-    Every packet lands in the part :func:`shard_of_key` names, in stream
-    order, and its weight travels with it.  ``weights`` is the int64 array
-    :func:`~repro.core.batch.coerce_weights` returns (``None`` for unit
-    weights, which stays ``None`` in every part).  Numeric batches are split
-    as arrays; anything else (object arrays, wide ints, non-integer keys)
-    goes through :meth:`~repro.core.base.HHHAlgorithm._iter_batch_keys` and
-    comes out as lists of plain keys.
+    Every packet lands in the part :func:`shard_assignments` names (its
+    ``pairs`` flag says ``keys`` holds packed pairs, as the driver ships
+    them), in stream order, and its weight travels with it.  ``weights`` is
+    the int64 array :func:`~repro.core.batch.coerce_weights` returns
+    (``None`` for unit weights, which stays ``None`` in every part).
+    Numeric batches are split as arrays; anything else (object arrays, wide
+    ints, non-integer keys) goes through
+    :meth:`~repro.core.base.HHHAlgorithm._iter_batch_keys`, is routed by
+    :func:`shard_of_key` within ``domain``, and comes out as lists of plain
+    keys.
     """
     if parts == 1:
         return [(keys if isinstance(keys, np.ndarray) else list(keys), weights)]
-    assignments = shard_assignments(keys, parts)
+    assignments = shard_assignments(keys, parts, pairs=pairs)
     if assignments is None:
         key_list = list(HHHAlgorithm._iter_batch_keys(keys))
         assignments = np.fromiter(
-            (shard_of_key(key, parts) for key in key_list), dtype=np.int64, count=len(key_list)
+            (shard_of_key(key, parts, domain) for key in key_list),
+            dtype=np.int64,
+            count=len(key_list),
         )
         buckets: List[List] = [[] for _ in range(parts)]
         for key, part in zip(key_list, assignments.tolist()):
@@ -345,8 +377,9 @@ class LatticeMerger:
 # --------------------------------------------------------------------------- #
 
 #: One dispatch job: ``(replica, message, weight)``.  ``message`` is a worker
-#: protocol command, ``("update_batch", keys, weights)`` or ``("update", key,
-#: weight)``, and ``weight`` the packet weight it carries.
+#: protocol command, ``("update_packed", packed, weights)``, ``("update_batch",
+#: keys, weights)`` or ``("update", key, weight)``, and ``weight`` the packet
+#: weight it carries.
 Job = Tuple[int, tuple, int]
 
 #: What a lagging replica's state still accounts for:
@@ -550,6 +583,13 @@ class ShardedHHH(HHHAlgorithm):
         # Built up front, so unshardable specs fail fast.
         self._merger = LatticeMerger(spec, hierarchy_obj, shards)
         self._template = self._merger.template
+        #: The hierarchy's full mask per dimension (``None`` without a packed
+        #: key form): scalar keys are routed by their reduction to it.
+        self._route_domain = (
+            None
+            if self._template._packed_masks is None
+            else tuple(np.atleast_1d(self._template._domain).tolist())
+        )
         #: The loss ledger: weight routed to each replica so far.
         self._dispatched = [0] * shards
         self._batch_index = 0
@@ -629,7 +669,7 @@ class ShardedHHH(HHHAlgorithm):
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Route one packet to the replica owning its key (one dispatch step)."""
         check_weight(weight)
-        replica = shard_of_key(key, self._shards)
+        replica = shard_of_key(key, self._shards, self._route_domain)
         self._dispatch([(replica, ("update", key, weight), weight)], weight)
 
     # The driver has no scalar twin of its own: its reference is the
@@ -637,26 +677,39 @@ class ShardedHHH(HHHAlgorithm):
     def update_batch(  # reprolint: ok(twin-parity)
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None
     ) -> None:
-        """Hash-partition the batch and drive every replica's own ``update_batch``.
+        """Pack the batch once, hash-partition it and feed every replica its part.
 
-        Each replica sees exactly the sub-stream of keys it owns, in stream
-        order - the property the lockstep suites pin.  A batch that cannot be
-        keys of the hierarchy raises before it is partitioned.
+        The batch is checked and packed here, with the template's
+        :meth:`~repro.core.rhhh.LatticeHHH._pack` (which reduces keys outside
+        the hierarchy's domain first), routed on the packed keys, and each
+        replica gets ``("update_packed", packed part, weights)``.  A batch
+        that does not pack (keys numpy cannot hold, hierarchies without a
+        packed form) ships as ``("update_batch", keys, weights)``.  Each replica sees exactly the
+        sub-stream of keys it owns, in stream order - the property the
+        lockstep suites pin.  A batch that cannot be keys of the hierarchy
+        raises before it is partitioned.
         """
         n = len(keys)
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
         keys_arr = hierarchy_key_array(keys, self._hierarchy)
+        packed = None if keys_arr is None else self._template._pack(keys_arr)
+        if packed is None:
+            command = "update_batch"
+            parts = partition_batch(
+                keys if keys_arr is None else keys_arr, weights_arr, self._shards, domain=self._route_domain
+            )
+        else:
+            command = "update_packed"
+            parts = partition_batch(packed, weights_arr, self._shards, pairs=packed.dtype == np.uint64)
         jobs = [
             (
                 replica,
-                ("update_batch", sub_keys, sub_weights),
+                (command, sub_keys, sub_weights),
                 int(sub_weights.sum()) if sub_weights is not None else len(sub_keys),
             )
-            for replica, (sub_keys, sub_weights) in enumerate(
-                partition_batch(keys if keys_arr is None else keys_arr, weights_arr, self._shards)
-            )
+            for replica, (sub_keys, sub_weights) in enumerate(parts)
             if len(sub_keys)
         ]
         self._dispatch(jobs, total_weight)

@@ -45,6 +45,10 @@ from repro.exceptions import (
 #: Supported failure policies.
 SUPERVISOR_POLICIES = ("fail", "restart", "degrade")
 
+#: Worker commands that feed the replica: ``(command, keys, weights)`` calls
+#: the replica's method of the same name.
+_UPDATE_COMMANDS = ("update_packed", "update_batch", "update")
+
 #: Extra allowance for the first reply of a freshly spawned worker, which
 #: pays the interpreter + numpy import cost before it can acknowledge.
 _STARTUP_TIMEOUT_FLOOR = 60.0
@@ -127,11 +131,11 @@ def _shard_worker(conn, hierarchy_payload, spec_dict: dict) -> None:
     is built inside the worker.  Replies are ``("ok", payload)`` or
     ``("error", traceback_text)``; the parent re-raises the latter.
 
-    Beyond the update/snapshot/close protocol the worker serves the
-    supervision commands: ``checkpoint`` ships its runtime state to the
-    parent, ``restore`` applies such a state after a respawn, and ``delay``
-    sleeps before acknowledging (the fault-injection hook for slow/hung
-    IPC).
+    Beyond the update (:data:`_UPDATE_COMMANDS`), snapshot and close
+    protocol the worker serves the supervision commands: ``checkpoint``
+    ships its runtime state to the parent, ``restore`` applies such a state
+    after a respawn, and ``delay`` sleeps before acknowledging (the
+    fault-injection hook for slow/hung IPC).
     """
     from repro.api.registry import build_algorithm, make_hierarchy
 
@@ -154,11 +158,8 @@ def _shard_worker(conn, hierarchy_payload, spec_dict: dict) -> None:
             break
         command = message[0]
         try:
-            if command == "update_batch":
-                algorithm.update_batch(message[1], message[2])
-                conn.send(("ok", None))
-            elif command == "update":
-                algorithm.update(message[1], message[2])
+            if command in _UPDATE_COMMANDS:
+                getattr(algorithm, command)(message[1], message[2])
                 conn.send(("ok", None))
             elif command == "snapshot":
                 conn.send(("ok", (algorithm.total, algorithm._counters)))
@@ -377,21 +378,53 @@ class ShardSupervisor:
         except OSError:
             raise self._death(shard, "its pipe broke during send") from None
 
-    def _request(self, shard: int, message: tuple):
-        """Send one command and await its ack, retrying once through recovery.
+    def _request_all(
+        self, shards: Sequence[int], message: tuple, at_batch: Optional[int] = None
+    ) -> Dict[int, Any]:
+        """Send one command to every listed shard, then await every reply.
 
-        Returns ``None`` when the shard ends up degraded instead of
-        recovered (the caller falls back to its checkpointed state).
+        Every request is out before the first reply is read, so the workers
+        build their replies concurrently.  A shard whose send or reply fails
+        goes through the policy once every other reply is drained, so a
+        stale reply never bleeds into the next command: a recovered shard is
+        asked once more, a degraded one answers ``None`` (the caller falls
+        back to its checkpointed state).  Fatal failures and worker-reported
+        errors are raised after the drain, the first one seen first.
         """
-        try:
-            self._send_raw(shard, message)
-            return self._await_ok(shard)
-        except ShardFailure as failure:
-            self._handle_failure(shard, failure, at_batch=None)
-            if shard in self._dead:
-                return None
-            self._send_raw(shard, message)
-            return self._await_ok(shard)
+        replies: Dict[int, Any] = {}
+        failed: List[Tuple[int, ShardFailure]] = []
+        errors: List[Exception] = []
+        sent = []
+        for shard in shards:
+            try:
+                self._send_raw(shard, message)
+                sent.append(shard)
+            except ShardFailure as failure:
+                failed.append((shard, failure))
+        for shard in sent:
+            try:
+                replies[shard] = self._await_ok(shard)
+            except ShardFailure as failure:
+                failed.append((shard, failure))
+            except AlgorithmError as exc:
+                errors.append(exc)
+        for shard, failure in failed:
+            try:
+                self._handle_failure(shard, failure, at_batch=at_batch)
+                if shard in self._dead:
+                    replies[shard] = None
+                    continue
+                self._send_raw(shard, message)
+                replies[shard] = self._await_ok(shard)
+            except (ShardFailure, AlgorithmError) as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        return replies
+
+    def _live_shards(self) -> List[int]:
+        """Shards not given up for dead, in shard order."""
+        return [shard for shard in range(len(self._specs)) if shard not in self._dead]
 
     # ------------------------------------------------------------------ #
     # batch dispatch
@@ -540,20 +573,11 @@ class ShardSupervisor:
             return
         if (batch_index + 1) % self._policy.checkpoint_every:
             return
-        for shard in range(len(self._specs)):
-            if shard in self._dead:
-                continue
-            try:
-                self._send_raw(shard, ("checkpoint", None))
-                state = self._await_ok(shard)
-            except ShardFailure as failure:
-                self._handle_failure(shard, failure, at_batch=batch_index)
-                if shard in self._dead:
-                    continue
-                self._send_raw(shard, ("checkpoint", None))
-                state = self._await_ok(shard)
-            self._recovery[shard] = state
-            self._journals[shard] = []
+        states = self._request_all(self._live_shards(), ("checkpoint", None), at_batch=batch_index)
+        for shard, state in states.items():
+            if state is not None:
+                self._recovery[shard] = state
+                self._journals[shard] = []
 
     def runtime_states(self) -> List[dict]:
         """One full runtime snapshot per shard (the engine-checkpoint path)."""
@@ -561,15 +585,13 @@ class ShardSupervisor:
             raise CheckpointError(
                 f"cannot checkpoint a degraded engine: shards {sorted(self._dead)} already lost"
             )
-        states = []
-        for shard in range(len(self._specs)):
-            state = self._request(shard, ("checkpoint", None))
+        states = self._request_all(self._live_shards(), ("checkpoint", None))
+        for shard, state in states.items():
             if state is None:
                 raise CheckpointError(
                     f"shard {shard} was lost while snapshotting the engine"
                 )
-            states.append(state)
-        return states
+        return [states[shard] for shard in range(len(self._specs))]
 
     def restore_states(self, states: Sequence[dict]) -> None:
         """Push one runtime snapshot into every worker and rebase recovery on it."""
@@ -595,17 +617,18 @@ class ShardSupervisor:
     def merge_states(self) -> List[Tuple[int, list]]:
         """``(total, counters)`` per shard for the output-time reduction.
 
-        Live shards answer with a fresh snapshot; lost shards contribute
-        their last supervision checkpoint (their preserved partial state) or
-        nothing if they died before the first checkpoint.
+        Live shards answer with a fresh snapshot, all requested at once
+        (:meth:`_request_all`); lost shards contribute their last supervision
+        checkpoint (their preserved partial state) or nothing if they died
+        before the first checkpoint.
         """
+        snapshots = self._request_all(self._live_shards(), ("snapshot", None))
         states: List[Tuple[int, list]] = []
         for shard in range(len(self._specs)):
-            if shard not in self._dead:
-                snapshot = self._request(shard, ("snapshot", None))
-                if snapshot is not None:
-                    states.append(snapshot)
-                    continue
+            snapshot = snapshots.get(shard)
+            if snapshot is not None:
+                states.append(snapshot)
+                continue
             checkpoint = self._recovery[shard]
             if checkpoint is not None:
                 attrs = checkpoint.get("attrs", {})
