@@ -97,9 +97,6 @@ class LatticeHHH(HHHAlgorithm):
             full = int(self._packed_masks[0])
             pair = self._packed_masks.dtype == np.uint64
             self._domain = np.array([full >> 32, full & 0xFFFFFFFF] if pair else full, dtype=np.uint64)
-            # pack_keys admits pair halves below 2**32 and 1-D keys below
-            # 2**63: a domain that wide needs no AND after packing.
-            self._packed_domain = None if full == (1 << (64 if pair else 63)) - 1 else self._packed_masks[0]
         #: Per-lattice-node update counters: every counter update bumps its
         #: node.  In-process replicas hand them to the merger as merge
         #: signatures (an unchanged stamp means an unchanged node).
@@ -181,16 +178,15 @@ class LatticeHHH(HHHAlgorithm):
         specified node's, so a reduced key masks to the same key at every
         node, and keys that reduce alike are one key to the shard router
         too.  A batch that packs as it is is reduced with one AND on the
-        packed keys (none when the domain spans every key that packs); any
-        other is reduced per dimension in uint64 first, and then always
-        packs.
+        packed keys; any other is reduced per dimension in uint64 first, and
+        then always packs.
         """
         if self._packed_masks is None:
             return None
         packed = pack_keys(keys_arr)
         if packed is None:
             return pack_keys(keys_arr.astype(np.uint64) & self._domain)
-        return packed if self._packed_domain is None else packed & self._packed_domain
+        return packed & self._packed_masks[0]
 
     def update_batch_reference(
         self, keys: Sequence[Hashable], weights: Optional[Sequence[int]] = None

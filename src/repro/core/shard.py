@@ -97,34 +97,25 @@ def per_shard_algorithm_spec(spec: AlgorithmSpec, seed: Optional[int], shards: i
 # --------------------------------------------------------------------------- #
 
 
-def shard_of_key(key: Hashable, shards: int, domain: Optional[Tuple[int, ...]] = None) -> int:
+def shard_of_key(key: Hashable, shards: int) -> int:
     """Shard owning ``key`` - the scalar twin of :func:`shard_assignments`.
 
-    ``domain`` is the hierarchy's full mask per dimension.  With it, an
-    integer key (one dimension) or integer pair (two) is reduced to ``key &
-    full`` per dimension before mixing, so keys outside the domain that mask
-    to the same key share a shard, as on the driver's packed batch route;
-    in-domain keys are their own reduction.  Integer and integer-pair keys
-    use the same multiplicative mix as the vectorized path (modulo
-    ``2**64``), so a key is routed identically whether it arrives through
-    ``update`` or inside a numpy batch; other key types fall back to Python
-    ``hash`` (deterministic per process family only for types unaffected by
-    hash randomization, which covers the ints and int tuples the
-    hierarchies emit).
+    Integer and integer-pair keys use the same multiplicative mix as the
+    vectorized path (modulo ``2**64``), so a key is routed identically
+    whether it arrives through ``update`` or inside a numpy batch; other key
+    types fall back to Python ``hash`` (deterministic per process family
+    only for types unaffected by hash randomization, which covers the ints
+    and int tuples the hierarchies emit).  The driver hands it keys already
+    reduced to the hierarchy's domain, so keys that reduce alike share a
+    shard.
     """
     if isinstance(key, tuple) and len(key) == 2:
         src, dst = key
         if isinstance(src, (int, np.integer)) and isinstance(dst, (int, np.integer)):
-            src, dst = int(src), int(dst)
-            if domain is not None and len(domain) == 2:
-                src, dst = src & domain[0], dst & domain[1]
-            mixed = ((src * _GOLDEN_SRC) & _MASK64) ^ ((dst * _GOLDEN_DST) & _MASK64)
+            mixed = ((int(src) * _GOLDEN_SRC) & _MASK64) ^ ((int(dst) * _GOLDEN_DST) & _MASK64)
             return (mixed >> _MIX_SHIFT) % shards
     if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
-        key = int(key)
-        if domain is not None and len(domain) == 1:
-            key &= domain[0]
-        return (((key * _GOLDEN_SRC) & _MASK64) >> _MIX_SHIFT) % shards
+        return (((int(key) * _GOLDEN_SRC) & _MASK64) >> _MIX_SHIFT) % shards
     return hash(key) % shards
 
 
@@ -166,7 +157,6 @@ def partition_batch(
     parts: int,
     *,
     pairs: bool = False,
-    domain: Optional[Tuple[int, ...]] = None,
 ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
     """Split a key batch into one ``(keys, weights)`` sub-batch per part.
 
@@ -178,8 +168,7 @@ def partition_batch(
     Numeric batches are split as arrays; anything else (object arrays, wide
     ints, non-integer keys) goes through
     :meth:`~repro.core.base.HHHAlgorithm._iter_batch_keys`, is routed by
-    :func:`shard_of_key` within ``domain``, and comes out as lists of plain
-    keys.
+    :func:`shard_of_key`, and comes out as lists of plain keys.
     """
     if parts == 1:
         return [(keys if isinstance(keys, np.ndarray) else list(keys), weights)]
@@ -187,9 +176,7 @@ def partition_batch(
     if assignments is None:
         key_list = list(HHHAlgorithm._iter_batch_keys(keys))
         assignments = np.fromiter(
-            (shard_of_key(key, parts, domain) for key in key_list),
-            dtype=np.int64,
-            count=len(key_list),
+            (shard_of_key(key, parts) for key in key_list), dtype=np.int64, count=len(key_list)
         )
         buckets: List[List] = [[] for _ in range(parts)]
         for key, part in zip(key_list, assignments.tolist()):
@@ -583,13 +570,11 @@ class ShardedHHH(HHHAlgorithm):
         # Built up front, so unshardable specs fail fast.
         self._merger = LatticeMerger(spec, hierarchy_obj, shards)
         self._template = self._merger.template
-        #: The hierarchy's full mask per dimension (``None`` without a packed
-        #: key form): scalar keys are routed by their reduction to it.
-        self._route_domain = (
-            None
-            if self._template._packed_masks is None
-            else tuple(np.atleast_1d(self._template._domain).tolist())
-        )
+        #: The fully specified node's mask: every node mask is a sub-mask of
+        #: it, so it reduces a key to the hierarchy's domain without changing
+        #: what any replica stores.  Keys are routed by their reduction, so
+        #: keys that reduce alike share a replica.
+        self._reduce = self._template._generalizers[0]
         #: The loss ledger: weight routed to each replica so far.
         self._dispatched = [0] * shards
         self._batch_index = 0
@@ -666,10 +651,17 @@ class ShardedHHH(HHHAlgorithm):
         self._batch_index += 1
         self._total += total_weight
 
+    def _routing_key(self, key: Hashable) -> Hashable:
+        """``key`` reduced to the hierarchy's domain, or as it is if it cannot be."""
+        try:
+            return self._reduce(key)
+        except Exception:  # not a key of the hierarchy: its replica raises the error
+            return key
+
     def update(self, key: Hashable, weight: int = 1) -> None:
         """Route one packet to the replica owning its key (one dispatch step)."""
         check_weight(weight)
-        replica = shard_of_key(key, self._shards, self._route_domain)
+        replica = shard_of_key(self._routing_key(key), self._shards)
         self._dispatch([(replica, ("update", key, weight), weight)], weight)
 
     # The driver has no scalar twin of its own: its reference is the
@@ -684,10 +676,11 @@ class ShardedHHH(HHHAlgorithm):
         the hierarchy's domain first), routed on the packed keys, and each
         replica gets ``("update_packed", packed part, weights)``.  A batch
         that does not pack (keys numpy cannot hold, hierarchies without a
-        packed form) ships as ``("update_batch", keys, weights)``.  Each replica sees exactly the
-        sub-stream of keys it owns, in stream order - the property the
-        lockstep suites pin.  A batch that cannot be keys of the hierarchy
-        raises before it is partitioned.
+        packed form) is reduced key by key and ships as ``("update_batch",
+        keys, weights)``.  Each replica sees exactly the sub-stream of keys
+        it owns, in stream order - the property the lockstep suites pin.  A
+        batch that cannot be keys of the hierarchy raises before it is
+        partitioned.
         """
         n = len(keys)
         if n == 0:
@@ -697,9 +690,8 @@ class ShardedHHH(HHHAlgorithm):
         packed = None if keys_arr is None else self._template._pack(keys_arr)
         if packed is None:
             command = "update_batch"
-            parts = partition_batch(
-                keys if keys_arr is None else keys_arr, weights_arr, self._shards, domain=self._route_domain
-            )
+            reduced = [self._routing_key(key) for key in self._iter_batch_keys(keys)]
+            parts = partition_batch(reduced, weights_arr, self._shards)
         else:
             command = "update_packed"
             parts = partition_batch(packed, weights_arr, self._shards, pairs=packed.dtype == np.uint64)

@@ -45,10 +45,6 @@ from repro.exceptions import (
 #: Supported failure policies.
 SUPERVISOR_POLICIES = ("fail", "restart", "degrade")
 
-#: Worker commands that feed the replica: ``(command, keys, weights)`` calls
-#: the replica's method of the same name.
-_UPDATE_COMMANDS = ("update_packed", "update_batch", "update")
-
 #: Extra allowance for the first reply of a freshly spawned worker, which
 #: pays the interpreter + numpy import cost before it can acknowledge.
 _STARTUP_TIMEOUT_FLOOR = 60.0
@@ -131,11 +127,13 @@ def _shard_worker(conn, hierarchy_payload, spec_dict: dict) -> None:
     is built inside the worker.  Replies are ``("ok", payload)`` or
     ``("error", traceback_text)``; the parent re-raises the latter.
 
-    Beyond the update (:data:`_UPDATE_COMMANDS`), snapshot and close
-    protocol the worker serves the supervision commands: ``checkpoint``
-    ships its runtime state to the parent, ``restore`` applies such a state
-    after a respawn, and ``delay`` sleeps before acknowledging (the
-    fault-injection hook for slow/hung IPC).
+    An update command (``update_packed``, ``update_batch`` or ``update``,
+    each with ``(keys, weights)``) calls the replica's method of that name.
+    Beyond the update, snapshot and close protocol the worker serves the
+    supervision commands: ``checkpoint`` ships its runtime state to the
+    parent, ``restore`` applies such a state after a respawn, and ``delay``
+    sleeps before acknowledging (the fault-injection hook for slow/hung
+    IPC).
     """
     from repro.api.registry import build_algorithm, make_hierarchy
 
@@ -158,7 +156,7 @@ def _shard_worker(conn, hierarchy_payload, spec_dict: dict) -> None:
             break
         command = message[0]
         try:
-            if command in _UPDATE_COMMANDS:
+            if command in ("update_packed", "update_batch", "update"):
                 getattr(algorithm, command)(message[1], message[2])
                 conn.send(("ok", None))
             elif command == "snapshot":

@@ -22,6 +22,7 @@ from repro.api.specs import AlgorithmSpec
 from repro.core.shard import ShardedHHH, shard_assignments, shard_of_key
 from repro.exceptions import HierarchyError
 from repro.hh.array_space_saving import pack_keys, unpack_keys
+from repro.hierarchy import OneDimHierarchy, TwoDimHierarchy, ipv6_byte_hierarchy
 
 #: Shard ids of :func:`_golden_batches`' keys, one digit a key, as the driver
 #: placed them when it hashed raw pairs and 1-D keys.
@@ -96,11 +97,7 @@ class TestInDomainPlacementIsUnchanged:
     @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_scalar_route_agrees_with_the_batch_route(self, shards):
         pairs, ones = _golden_batches()
-        engine = ShardedHHH("mst", "2d-bytes", shards, parallel=False)
-        scalar = "".join(
-            str(shard_of_key(key, shards, engine._route_domain))
-            for key in map(tuple, pairs.tolist())
-        )
+        scalar = "".join(str(shard_of_key(key, shards)) for key in map(tuple, pairs.tolist()))
         assert scalar == GOLDEN_IDS[shards][0]
         assert "".join(str(shard_of_key(key, shards)) for key in ones.tolist()) == GOLDEN_IDS[shards][1]
 
@@ -207,9 +204,60 @@ class TestOutOfDomainKeysRouteByTheirReduction:
             [(_, (_, packed, _), _)] = jobs
             assert unpack_keys(packed) == [(5, 7)] * 4
             owner = shard_of_key((5, 7), shards)
-            assert all(
-                shard_of_key(tuple(pair), shards, engine._route_domain) == owner for pair in pairs.tolist()
-            )
             for pair in pairs.tolist():
                 engine.update(tuple(pair))
             assert engine.shard_algorithm(owner).total == 2 * len(pairs)
+
+    @pytest.mark.parametrize("path", ["update", "update_batch", "int64_batch"])
+    def test_ipv6_keys_route_by_their_reduction(self, path):
+        """IPv6 has no packed form: -1 and 2**128 - 1 (and 5 and 5 + 2**128)
+        are one key each, so they share its shard on every route, and the
+        replicas see the reduced key."""
+        top = 2**128 - 1
+        for shards in (2, 3, 4):
+            engine = ShardedHHH("mst", ipv6_byte_hierarchy(), shards, parallel=False)
+            jobs = _recorded_jobs(engine)
+            if path == "update":
+                for key in [5, 5 + 2**128, -1, top] * 40:
+                    engine.update(key)
+            elif path == "update_batch":
+                engine.update_batch([5, 5 + 2**128, -1, top] * 40)
+            else:
+                engine.update_batch(np.array([5, -1] * 80, dtype=np.int64))
+            owners = {}
+            for replica, (_, sent, _), _ in jobs:
+                for key in np.atleast_1d(np.asarray(sent, dtype=object)).tolist():
+                    owners.setdefault(key % 2**128, set()).add(replica)
+            assert owners == {5: {shard_of_key(5, shards)}, top: {shard_of_key(top, shards)}}
+            counters, total = engine.merged_counters()
+            assert total == 160
+            for key in (5, top):
+                assert counters[0].lower_bound(key) <= 80 <= counters[0].upper_bound(key)
+
+    @pytest.mark.parametrize("path", ["update", "update_batch", "int64_batch"])
+    def test_wide_pair_keys_route_by_their_reduction(self, path):
+        """40-bit dimensions have no packed form, and 2**40 is not 0 modulo
+        the hash's 2**64: (5, 7), (5 + 2**40, 7) and (5, 7 - 2**40) are one
+        key, and so are (-1, 7) and (2**40 - 1, 7)."""
+        top = 2**40 - 1
+        pairs = [(5, 7), (5 + 2**40, 7), (5, 7 - 2**40)] + [(-1, 7), (top, 7), (top + 2**40, 7)]
+        hierarchy = TwoDimHierarchy(OneDimHierarchy(40, 8), OneDimHierarchy(40, 8))
+        for shards in (2, 3, 4):
+            engine = ShardedHHH("mst", hierarchy, shards, parallel=False)
+            jobs = _recorded_jobs(engine)
+            if path == "update":
+                for pair in pairs * 20:
+                    engine.update(pair)
+            elif path == "update_batch":
+                engine.update_batch(pairs * 20)
+            else:
+                engine.update_batch(np.array(pairs * 20, dtype=np.int64))
+            owners = {}
+            for replica, (_, sent, _), _ in jobs:
+                for src, dst in np.asarray(sent).reshape(-1, 2).tolist():
+                    owners.setdefault((src & top, dst & top), set()).add(replica)
+            assert owners == {key: {shard_of_key(key, shards)} for key in [(5, 7), (top, 7)]}
+            counters, total = engine.merged_counters()
+            assert total == 120
+            for key in [(5, 7), (top, 7)]:
+                assert counters[0].lower_bound(key) <= 60 <= counters[0].upper_bound(key)
